@@ -14,30 +14,24 @@
 #include "bench/BenchUtil.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
-using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Ablation: device trace-buffer size (CS-CPU backend)",
                 "design choice behind paper Fig. 2a/2b");
 
   TablePrinter Table({"Buffer (records)", "Transfer Share", "Total Time"});
   for (std::uint64_t Records :
        {1ull << 14, 1ull << 16, 1ull << 18, 1ull << 20, 1ull << 22}) {
-    WorkloadConfig Config;
-    Config.Model = "bert";
-    Config.Gpu = "A100";
-    Config.Backend = TraceBackend::SanitizerCpu;
-    Config.DeviceBufferRecords = Records;
-    Config.RecordGranularityBytes = bench::recordGranularity();
-    Profiler Prof;
-    Prof.addToolByName("working_set_host");
-    WorkloadResult Result = runWorkload(Config, Prof);
-    const sim::TraceTimeBreakdown &B = Result.Stats.Breakdown;
+    SessionBuilder Builder;
+    Builder.tool("working_set_host")
+        .backend("cs-cpu")
+        .gpu("A100")
+        .model("bert")
+        .deviceBufferRecords(Records);
+    sim::TraceTimeBreakdown B =
+        bench::buildSession(Builder)->run().Stats.Breakdown;
     Table.addRow({std::to_string(Records),
                   format("%.2f%%", 100.0 *
                                        static_cast<double>(B.Transfer) /

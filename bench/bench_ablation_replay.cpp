@@ -60,6 +60,13 @@ constexpr std::size_t DefaultEvents = 200000;
 class StreamDigestTool : public Tool {
 public:
   std::string name() const override { return "stream_digest"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &E) override {
     fold(static_cast<std::uint64_t>(E.Kind));
     fold(E.Timestamp);

@@ -14,15 +14,12 @@
 #include "bench/BenchUtil.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
-#include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Ablation: trace sampling rate vs overhead and accuracy",
                 "ACCEL_PROF_ENV_SAMPLE_RATE (paper artifact appendix)");
 
@@ -30,17 +27,16 @@ int main() {
   TablePrinter Table({"Sample Rate", "CS-CPU Time", "Working Set",
                       "WS vs full"});
   for (double Rate : {1.0, 0.5, 0.1, 0.01}) {
-    WorkloadConfig Config;
-    Config.Model = "bert";
-    Config.Gpu = "A100";
-    Config.Backend = TraceBackend::SanitizerCpu;
-    Config.SampleRate = Rate;
-    Config.RecordGranularityBytes = bench::recordGranularity();
-    Profiler Prof;
-    auto *Ws = static_cast<WorkingSetTool *>(
-        Prof.addToolByName("working_set_host"));
-    WorkloadResult Result = runWorkload(Config, Prof);
-    auto Summary = Ws->summary();
+    SessionBuilder Builder;
+    Builder.tool("working_set_host")
+        .backend("cs-cpu")
+        .gpu("A100")
+        .model("bert")
+        .sampleRate(Rate);
+    std::unique_ptr<Session> S = bench::buildSession(Builder);
+    SessionResult Result = S->run();
+    // Both working-set variants report under the name "working_set".
+    auto Summary = S->toolAs<WorkingSetTool>("working_set")->summary();
     if (Rate == 1.0)
       ReferenceWs = Summary.WorkingSetBytes;
     Table.addRow(

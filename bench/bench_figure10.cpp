@@ -14,17 +14,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
-#include "tools/RegisterTools.h"
-#include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
-using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Breakdown of PASTA profiling time",
                 "paper Figure 10");
 
@@ -33,24 +29,24 @@ int main() {
     TablePrinter Table({"Model", "Backend", "Execution", "Collection",
                         "Transfer", "Analysis", "Total"});
     for (const dl::ModelConfig &Model : dl::modelZoo()) {
-      for (TraceBackend Backend :
-           {TraceBackend::SanitizerGpu, TraceBackend::SanitizerCpu,
-            TraceBackend::NvbitCpu}) {
-        WorkloadConfig Config;
-        Config.Model = Model.Name;
-        Config.Gpu = Gpu;
-        Config.Backend = Backend;
-        Config.RecordGranularityBytes = bench::recordGranularity();
-        Profiler Prof;
-        Prof.addToolByName(Backend == TraceBackend::SanitizerGpu
-                               ? "working_set"
-                               : "working_set_host");
-        WorkloadResult Result = runWorkload(Config, Prof);
-        sim::TraceTimeBreakdown B = Result.Stats.Breakdown;
+      // Each analysis model's backend registry name and trace flavor.
+      for (auto [Backend, Flavor] :
+           {std::pair<const char *, TraceBackend>{
+                "cs-gpu", TraceBackend::SanitizerGpu},
+            {"cs-cpu", TraceBackend::SanitizerCpu},
+            {"nvbit-cpu", TraceBackend::NvbitCpu}}) {
+        bool GpuResident = Flavor == TraceBackend::SanitizerGpu;
+        SessionBuilder Builder;
+        Builder.tool(GpuResident ? "working_set" : "working_set_host")
+            .backend(Backend)
+            .gpu(Gpu)
+            .model(Model.Name);
+        sim::TraceTimeBreakdown B =
+            bench::buildSession(Builder)->run().Stats.Breakdown;
         // As the paper does: in the GPU-resident version collection and
         // analysis are fused into one device function, so the reported
         // "collection" includes the analysis.
-        if (Backend == TraceBackend::SanitizerGpu) {
+        if (GpuResident) {
           B.Collection += B.Analysis;
           B.Analysis = 0;
         }
@@ -59,7 +55,7 @@ int main() {
           return format("%5.1f%%", 100.0 * static_cast<double>(Part) /
                                        Total);
         };
-        Table.addRow({Model.Abbrev, traceBackendName(Backend),
+        Table.addRow({Model.Abbrev, traceBackendName(Flavor),
                       Pct(B.Execution), Pct(B.Collection), Pct(B.Transfer),
                       Pct(B.Analysis), formatSimTime(B.total())});
       }

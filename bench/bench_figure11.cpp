@@ -13,9 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -24,20 +23,19 @@ namespace {
 
 double runLevel(const dl::ModelConfig &Model, const char *Gpu,
                 PrefetchLevel Level, std::uint64_t LimitBytes) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Config.Managed = true;
-  Config.Prefetch = Level;
-  Config.MemoryLimitBytes = LimitBytes;
-  Profiler Prof;
-  return static_cast<double>(runWorkload(Config, Prof).Stats.wallTime());
+  SessionBuilder Builder;
+  Builder.gpu(Gpu)
+      .model(Model.Name)
+      .managed()
+      .prefetch(Level)
+      .memoryLimit(LimitBytes);
+  return static_cast<double>(
+      bench::buildSession(Builder)->run().Stats.wallTime());
 }
 
 } // namespace
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Object- vs tensor-level UVM prefetch, no "
                 "oversubscription",
                 "paper Figure 11");

@@ -15,9 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -25,29 +24,26 @@ using namespace pasta::tools;
 namespace {
 
 std::uint64_t footprintOf(const dl::ModelConfig &Model, const char *Gpu) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Profiler Prof;
-  return runWorkload(Config, Prof).Stats.PeakReserved;
+  SessionBuilder Builder;
+  Builder.gpu(Gpu).model(Model.Name);
+  return bench::buildSession(Builder)->run().Stats.PeakReserved;
 }
 
 double runLevel(const dl::ModelConfig &Model, const char *Gpu,
                 PrefetchLevel Level, std::uint64_t LimitBytes) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Config.Managed = true;
-  Config.Prefetch = Level;
-  Config.MemoryLimitBytes = LimitBytes;
-  Profiler Prof;
-  return static_cast<double>(runWorkload(Config, Prof).Stats.wallTime());
+  SessionBuilder Builder;
+  Builder.gpu(Gpu)
+      .model(Model.Name)
+      .managed()
+      .prefetch(Level)
+      .memoryLimit(LimitBytes);
+  return static_cast<double>(
+      bench::buildSession(Builder)->run().Stats.wallTime());
 }
 
 } // namespace
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Object- vs tensor-level UVM prefetch, oversubscription "
                 "factor 3",
                 "paper Figure 12");

@@ -15,8 +15,6 @@
 
 #include "bench/BenchUtil.h"
 #include "tools/HotnessTool.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 #include <algorithm>
 #include <map>
@@ -25,19 +23,14 @@ using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Memory access hotness of BERT inference over time",
                 "paper Figure 13");
 
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Gpu = "A100";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = bench::recordGranularity();
-
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.tool("hotness").backend("cs-gpu").gpu("A100").model("bert");
+  std::unique_ptr<Session> S = bench::buildSession(Builder);
+  S->run();
+  auto *Hot = S->toolAs<HotnessTool>("hotness");
 
   // Collect per-block window activity.
   std::map<sim::DeviceAddr, std::vector<std::uint64_t>> Rows;

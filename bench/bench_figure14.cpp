@@ -18,14 +18,11 @@
 #include "support/TablePrinter.h"
 #include "support/Units.h"
 #include "tools/MemUsageTimelineTool.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner(
       "GPT-2 training-iteration memory usage: NVIDIA vs AMD",
       "paper Figure 14");
@@ -35,15 +32,15 @@ int main() {
   std::uint64_t Events[2] = {0, 0}, Peaks[2] = {0, 0};
 
   for (int I = 0; I < 2; ++I) {
-    WorkloadConfig Config;
-    Config.Model = "gpt2";
-    Config.Training = true;
-    Config.Iterations = 1;
-    Config.Gpu = Gpus[I];
-    Profiler Prof;
-    auto *Timeline = static_cast<MemUsageTimelineTool *>(
-        Prof.addToolByName("mem_usage_timeline"));
-    runWorkload(Config, Prof);
+    SessionBuilder Builder;
+    Builder.tool("mem_usage_timeline")
+        .gpu(Gpus[I])
+        .model("gpt2")
+        .training()
+        .iterations(1);
+    std::unique_ptr<Session> S = bench::buildSession(Builder);
+    S->run();
+    auto *Timeline = S->toolAs<MemUsageTimelineTool>("mem_usage_timeline");
     Series[I] = Timeline->series(0);
     Events[I] = Timeline->numEvents(0);
     Peaks[I] = Timeline->peak(0);

@@ -13,43 +13,32 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "cuda/CudaRuntime.h"
-#include "dl/Executor.h"
 #include "dl/Megatron.h"
-#include "pasta/Profiler.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
 #include "tools/MemUsageTimelineTool.h"
-#include "tools/RegisterTools.h"
 
 using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Per-GPU memory usage, Megatron GPT-2 345M, DP/TP/PP",
                 "paper Figure 15");
 
   for (dl::ParallelStrategy Strategy :
        {dl::ParallelStrategy::Data, dl::ParallelStrategy::Tensor,
         dl::ParallelStrategy::Pipeline}) {
-    sim::System System({sim::a100Spec(), sim::a100Spec()});
-    cuda::CudaRuntime Cuda(System);
-    Profiler Prof;
-    auto *Timeline = static_cast<MemUsageTimelineTool *>(
-        Prof.addToolByName("mem_usage_timeline"));
-    Prof.attachCuda(Cuda, 0);
-    Prof.attachCuda(Cuda, 1);
-
     dl::MegatronConfig Config;
+    SessionBuilder Builder;
+    Builder.tool("mem_usage_timeline").gpu("A100").deviceCount(Config.NumGpus);
+    std::unique_ptr<Session> S = bench::buildSession(Builder);
+    // One executor (rank) per GPU, as Megatron spawns one process per
+    // device.
     auto Programs = dl::buildMegatronGpt2(Strategy, Config);
-    for (int Rank = 0; Rank < Config.NumGpus; ++Rank) {
-      dl::CudaDeviceApi Api(Cuda, Rank);
-      dl::CallbackRegistry Callbacks;
-      Prof.attachDl(Callbacks);
-      dl::Executor Executor(Api, Callbacks);
-      Executor.run(Programs[Rank]);
-    }
+    for (int Rank = 0; Rank < Config.NumGpus; ++Rank)
+      S->runProgram(Programs[Rank], Rank);
+    S->finish();
+    auto *Timeline = S->toolAs<MemUsageTimelineTool>("mem_usage_timeline");
 
     std::printf("\n[%s]\n", dl::parallelStrategyName(Strategy));
     TablePrinter Table({"GPU", "Tensor Events", "Peak Usage"});
@@ -63,7 +52,6 @@ int main() {
                   bench::sparkline(
                       bench::downsample(Timeline->series(Rank), 72))
                       .c_str());
-    Prof.finish();
   }
   std::printf("\nchecks vs paper: DP usage identical across GPUs; TP "
               "peak about half of DP (model sharding); PP asymmetric "

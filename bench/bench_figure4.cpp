@@ -14,30 +14,22 @@
 
 #include "bench/BenchUtil.h"
 #include "support/Env.h"
-#include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner(
       "Cross-layer call stack of the most memory-referenced kernel (BERT)",
       "paper Figure 4");
   setEnvOverride("MAX_MEM_REFERENCED_KERNEL", "1");
 
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Gpu = "A100";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = bench::recordGranularity();
-
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.tool("working_set").backend("cs-gpu").gpu("A100").model("bert");
+  std::unique_ptr<Session> S = bench::buildSession(Builder);
+  S->run();
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
 
   std::printf("\nkernel with the highest memory reference count: %s\n\n%s",
               Ws->maxReferencedKernel().c_str(),

@@ -13,30 +13,27 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "tools/KernelFrequencyTool.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
 
 using namespace pasta;
 using namespace pasta::tools;
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner("Kernel invocation frequency distribution",
                 "paper Figure 7");
 
   for (bool Training : {false, true}) {
     for (const dl::ModelConfig &Model : dl::modelZoo()) {
-      WorkloadConfig Config;
-      Config.Model = Model.Name;
-      Config.Training = Training;
-      Config.Gpu = "A100";
-
-      Profiler Prof;
-      auto *Freq = static_cast<KernelFrequencyTool *>(
-          Prof.addToolByName("kernel_frequency"));
-      runWorkload(Config, Prof);
+      SessionBuilder Builder;
+      Builder.tool("kernel_frequency")
+          .gpu("A100")
+          .model(Model.Name)
+          .training(Training);
+      std::unique_ptr<Session> S = bench::buildSession(Builder);
+      S->run();
+      auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
 
       auto Sorted = Freq->sorted();
       std::printf("\n[%s %s] %llu launches, %zu distinct kernels\n",

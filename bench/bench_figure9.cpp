@@ -16,34 +16,26 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "dl/Models.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
-#include "tools/RegisterTools.h"
-#include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 #include <cmath>
 
 using namespace pasta;
-using namespace pasta::tools;
 
 namespace {
 
 constexpr double SevenDaysNs = 7.0 * 24 * 3600 * 1e9;
 
 double runBackend(const dl::ModelConfig &Model, const char *Gpu,
-                  TraceBackend Backend) {
-  WorkloadConfig Config;
-  Config.Model = Model.Name;
-  Config.Gpu = Gpu;
-  Config.Backend = Backend;
-  Config.RecordGranularityBytes = bench::recordGranularity();
-  Profiler Prof;
-  if (Backend != TraceBackend::None)
-    Prof.addToolByName(Backend == TraceBackend::SanitizerGpu
-                           ? "working_set"
-                           : "working_set_host");
-  return static_cast<double>(runWorkload(Config, Prof).Stats.wallTime());
+                  const std::string &Backend) {
+  SessionBuilder Builder;
+  Builder.backend(Backend).gpu(Gpu).model(Model.Name);
+  if (Backend != "none")
+    Builder.tool(Backend == "cs-gpu" ? "working_set" : "working_set_host");
+  return static_cast<double>(
+      bench::buildSession(Builder)->run().Stats.wallTime());
 }
 
 std::string overheadCell(double Time, double Native) {
@@ -55,7 +47,6 @@ std::string overheadCell(double Time, double Native) {
 } // namespace
 
 int main() {
-  tools::registerBuiltinTools();
   bench::banner(
       "Normalized overhead of diverse analysis models (A100 + RTX 3060)",
       "paper Figure 9");
@@ -67,10 +58,10 @@ int main() {
     double LogCsCpuRatio = 0, LogNvbitRatio = 0;
     int Rows = 0;
     for (const dl::ModelConfig &Model : dl::modelZoo()) {
-      double Native = runBackend(Model, Gpu, TraceBackend::None);
-      double CsGpu = runBackend(Model, Gpu, TraceBackend::SanitizerGpu);
-      double CsCpu = runBackend(Model, Gpu, TraceBackend::SanitizerCpu);
-      double Nvbit = runBackend(Model, Gpu, TraceBackend::NvbitCpu);
+      double Native = runBackend(Model, Gpu, "none");
+      double CsGpu = runBackend(Model, Gpu, "cs-gpu");
+      double CsCpu = runBackend(Model, Gpu, "cs-cpu");
+      double Nvbit = runBackend(Model, Gpu, "nvbit-cpu");
       Table.addRow({Model.Abbrev,
                     formatSimTime(static_cast<SimTime>(Native)),
                     overheadCell(CsGpu, Native),

@@ -15,14 +15,13 @@
 // negotiates coarse-only instrumentation from the same declaration, and
 // because its counters are atomics it can honestly claim the Concurrent
 // contract — any dispatch lane may invoke it, so an asynchronous session
-// with several dispatch threads never serializes on it. Tools that skip
-// subscription() instead inherit the migration default: every event, one
-// serial lane.
+// with several dispatch threads never serializes on it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pasta/Session.h"
 #include "pasta/Tool.h"
+#include "support/ReportSink.h"
 #include "support/Units.h"
 
 #include <atomic>
@@ -94,6 +93,7 @@ int main() {
     return 1;
   }
   S->run();
-  S->writeReports(stdout);
+  TextReportSink Sink(stdout);
+  S->writeReports(Sink);
   return 0;
 }

@@ -8,8 +8,7 @@
 // targeted region — here the transformer encoder layers of one BERT
 // iteration — with pasta.start()/pasta.stop() and analyze just that
 // region with the operator-to-kernel mapping tool. The executor hook is
-// installed through Session::run's customize callback; the session owns
-// all the wiring the old Profiler flow spelled out by hand.
+// installed through Session::run's customize callback.
 //
 //===----------------------------------------------------------------------===//
 

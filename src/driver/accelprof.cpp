@@ -27,8 +27,7 @@
 //       accelprof -t kernel_frequency --capture run.trace bert
 //       accelprof -t working_set -b replay --trace run.trace
 //       accelprof --serve /tmp/pasta.sock --report-dir reports &
-//       accelprof -t kernel_frequency --connect /tmp/pasta.sock \
-//                 --tenant team-a bert
+//       accelprof --connect /tmp/pasta.sock --tenant team-a bert
 //       accelprof -t kernel_frequency --async --lanes-auto --max-lanes 8 bert
 //       accelprof --control /tmp/pasta.sock attach-tool team-a working_set
 //

@@ -8,9 +8,9 @@
 /// The contract-enforcement static checker behind `pasta-lint`
 /// (docs/VALIDATION.md is the narrative spec). A deliberately small,
 /// dependency-free C++ lexer plus a table of project-specific rules the
-/// CI gates on: tool-subscription declarations, payload-handle hygiene,
-/// determinism bans, explicit memory orders on the admission hot path,
-/// header hygiene, and the trace wire-format manifest.
+/// CI gates on: payload-handle hygiene, determinism bans, explicit
+/// memory orders on the admission hot path, header hygiene, and the
+/// trace wire-format manifest.
 ///
 /// The checker is token-based, not a real parser: each rule pattern-
 /// matches the token stream (comments and string literals already

@@ -113,31 +113,6 @@ std::vector<ToolClass> findToolClasses(const SourceFile &File) {
 }
 
 //===----------------------------------------------------------------------===//
-// tool-subscription: concrete Tool subclasses declare subscription()
-//===----------------------------------------------------------------------===//
-
-void checkToolSubscription(const SourceFile &File, const LintContext &,
-                           std::vector<Diagnostic> &Out) {
-  for (const ToolClass &TC : findToolClasses(File)) {
-    const std::vector<Token> &Toks = File.Tokens;
-    bool Declares = false;
-    for (std::size_t I = TC.BodyBegin; I + 1 < TC.BodyEnd; ++I)
-      if (Toks[I].isIdent("subscription") && Toks[I + 1].is("(")) {
-        Declares = true;
-        break;
-      }
-    if (!Declares)
-      Out.push_back(Diagnostic{
-          File.Path, TC.Line, "tool-subscription",
-          "Tool subclass '" + TC.Name +
-              "' does not declare subscription(); the silent legacy "
-              "default subscribes to every event kind under the Serial "
-              "contract — declare the exact subscription (or suppress "
-              "where the migration default is the point)"});
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // tool-payload-handles: no raw KernelDesc*/TensorInfo* members in tools
 //===----------------------------------------------------------------------===//
 
@@ -720,10 +695,6 @@ void checkStreamEnvelope(const SourceFile &File, const LintContext &Ctx,
 
 const std::vector<Rule> &rules() {
   static const std::vector<Rule> Table = {
-      {"tool-subscription",
-       "every concrete Tool subclass declares subscription() "
-       "explicitly (no silent legacy default)",
-       checkToolSubscription},
       {"tool-payload-handles",
        "no raw KernelDesc*/TensorInfo* members in Tool subclasses; "
        "keep PayloadString/PayloadStack or owned shared_ptr handles",

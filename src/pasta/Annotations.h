@@ -8,11 +8,11 @@
 /// The user-facing annotation API of the paper's Listing 1. In the real
 /// system `import pasta; pasta.start(); ...; pasta.stop()` is exported
 /// through pybind11; here the same minimal, non-intrusive surface is a
-/// pair of calls on the Profiler plus an RAII guard:
+/// pair of calls on the Session plus an RAII guard:
 ///
 /// \code
 ///   {
-///     pasta::ScopedRegion Region(Prof); // pasta.start()
+///     pasta::ScopedRegion Region(*S);   // pasta.start()
 ///     model.transformer_layer();        // targeted region
 ///   }                                   // pasta.stop()
 /// \endcode
@@ -27,7 +27,6 @@
 #ifndef PASTA_PASTA_ANNOTATIONS_H
 #define PASTA_PASTA_ANNOTATIONS_H
 
-#include "pasta/Profiler.h"
 #include "pasta/Session.h"
 
 namespace pasta {
@@ -35,15 +34,14 @@ namespace pasta {
 /// RAII pasta.start()/pasta.stop() pair; nestable.
 class ScopedRegion {
 public:
-  explicit ScopedRegion(Profiler &Prof) : Prof(Prof) { Prof.start(); }
-  explicit ScopedRegion(Session &S) : Prof(S.profiler()) { Prof.start(); }
-  ~ScopedRegion() { Prof.stop(); }
+  explicit ScopedRegion(Session &S) : S(S) { S.start(); }
+  ~ScopedRegion() { S.stop(); }
 
   ScopedRegion(const ScopedRegion &) = delete;
   ScopedRegion &operator=(const ScopedRegion &) = delete;
 
 private:
-  Profiler &Prof;
+  Session &S;
 };
 
 } // namespace pasta

@@ -335,7 +335,7 @@ bool EventArena::pastByteCap(std::uint64_t AddedBytes) {
   Fallbacks.fetch_add(1, std::memory_order_relaxed);
   if (!CapWarned.exchange(true, std::memory_order_relaxed))
     logWarning("EventArena: resident payloads reached the "
-               "PASTA_ARENA_MAX_BYTES cap (" +
+               "arena max-bytes cap (" +
                std::to_string(Opts.MaxBytes) +
                " bytes); new payloads fall back to per-event owned "
                "pins without deduplication (counted as "
@@ -351,8 +351,7 @@ void EventArena::intern(Event &E) {
   // Pin the tensor pointee outside any lock (no table involved).
   // Descriptors live on the producing callback's stack and die when it
   // returns; an admitted event outlives that frame. Skip when already
-  // owned (e.g. via the retainPointees compatibility shim) — interning
-  // is idempotent, as the Events.h ownership doc promises.
+  // owned, so interning an event twice is a no-op.
   if (E.Tensor && !E.ownedTensor())
     E.adoptTensor(pinTensor(*E.Tensor));
 

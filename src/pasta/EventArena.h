@@ -30,8 +30,8 @@
 ///
 /// Low-contention admission: the intern tables are split into N
 /// content-hash-indexed *shards* (default derived from the hardware
-/// concurrency; EventArenaOptions::Shards / PASTA_ARENA_SHARDS /
-/// SessionBuilder::arenaShards override), each behind its own mutex, so
+/// concurrency; EventArenaOptions::Shards / SessionBuilder::arenaShards
+/// override), each behind its own mutex, so
 /// concurrent producers interning distinct payloads rarely touch the
 /// same lock. intern(Event&) groups an event's payloads by shard and
 /// takes each involved shard's lock exactly once. In front of the
@@ -42,8 +42,8 @@
 /// entries always hold canonical (table-resident) handles, so identity
 /// guarantees are unchanged.
 ///
-/// Guard rail: EventArenaOptions::MaxBytes (PASTA_ARENA_MAX_BYTES /
-/// SessionBuilder::arenaMaxBytes) caps resident payload bytes. Past the
+/// Guard rail: EventArenaOptions::MaxBytes (SessionBuilder::
+/// arenaMaxBytes) caps resident payload bytes. Past the
 /// cap, *new* payloads fall back to per-event owned pins — content
 /// still correct and safely owned, just not deduplicated — a one-time
 /// warning fires, and every fallback is counted (EvictedFallbacks),
@@ -355,8 +355,7 @@ public:
   /// Canonicalizes every payload of \p E in place: OpName/LayerName/
   /// PythonStack become arena handles, the borrowed Kernel pointee is
   /// pinned into a shared deduplicated copy, and the borrowed Tensor
-  /// pointee is pinned into a per-event owned copy (superseding
-  /// Event::retainPointees on the pipeline path). Payloads already in
+  /// pointee is pinned into a per-event owned copy. Payloads already in
   /// the calling thread's memo resolve without any lock; the rest are
   /// grouped by shard so each involved shard's lock is taken exactly
   /// once per event.

@@ -52,7 +52,7 @@ const char *traceBackendName(TraceBackend Backend);
 struct TraceOptions {
   TraceBackend Backend = TraceBackend::None;
   std::uint64_t DeviceBufferRecords = 1u << 20;
-  /// ACCEL_PROF_ENV_SAMPLE_RATE analogue.
+  /// Analogue of the paper artifact's ACCEL_PROF_ENV_SAMPLE_RATE.
   double SampleRate = 1.0;
   std::uint64_t RecordGranularityBytes = 4096;
 };
@@ -60,7 +60,7 @@ struct TraceOptions {
 /// Subscribes to vendor + framework hooks and normalizes into Events.
 ///
 /// Lifetime: attached runtimes must outlive this handler, or detach()
-/// must be called while they are still alive (Profiler::finish() does).
+/// must be called while they are still alive (Session::finish() does).
 class EventHandler {
 public:
   explicit EventHandler(EventProcessor &Processor);

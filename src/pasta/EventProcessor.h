@@ -226,25 +226,25 @@ struct ProcessorOptions {
   std::size_t DispatchThreads = 1;
   /// Iterations a full-ring producer (or empty-ring lane consumer)
   /// spins before parking; 0 parks immediately — the default on
-  /// single-core hosts (PASTA_QUEUE_SPINS).
+  /// single-core hosts.
   std::size_t QueueSpinIterations = defaultQueueSpinIterations();
   /// Content-hash shards for the payload arena's intern tables (0 =
-  /// hardware-concurrency-derived default; PASTA_ARENA_SHARDS).
+  /// hardware-concurrency-derived default; --arena-shards).
   std::size_t ArenaShards = 0;
-  /// Thread-local intern memo in front of the arena shards
-  /// (PASTA_ARENA_MEMO; disable to measure or to cap per-thread state).
+  /// Thread-local intern memo in front of the arena shards (disable to
+  /// measure or to cap per-thread state).
   bool ArenaMemo = true;
-  /// Resident arena payload byte cap, 0 = unlimited
-  /// (PASTA_ARENA_MAX_BYTES); past it, new payloads are per-event pins.
+  /// Resident arena payload byte cap, 0 = unlimited (--arena-max-bytes);
+  /// past it, new payloads are per-event pins.
   std::uint64_t ArenaMaxBytes = 0;
-  /// Lane auto-scaling (PASTA_LANES_AUTO, --lanes-auto): a controller
+  /// Lane auto-scaling (--lanes-auto): a controller
   /// thread grows the active lane set when producers park on full rings
   /// and shrinks it across idle intervals, within [MinLanes, MaxLanes].
   /// Only meaningful with AsyncEvents.
   bool LanesAuto = false;
-  /// Auto-scaling floor (PASTA_MIN_LANES; 0 = 1).
+  /// Auto-scaling floor (--min-lanes; 0 = 1).
   std::size_t MinLanes = 0;
-  /// Auto-scaling ceiling (PASTA_MAX_LANES; 0 = max(DispatchThreads, 4),
+  /// Auto-scaling ceiling (--max-lanes; 0 = max(DispatchThreads, 4),
   /// clamped to 64). The lane vector is preallocated to this size.
   std::size_t MaxLanes = 0;
   /// Controller sampling interval in milliseconds.
@@ -252,7 +252,7 @@ struct ProcessorOptions {
   /// Runtime contract validation (see pasta/Validate.h): Serial
   /// overlap/lane-affinity watchdogs, subscription-mask and -drift
   /// checks, arena payload canaries, flush-barrier assertions. Off by
-  /// default (one null check per dispatch); PASTA_VALIDATE env and the
+  /// default (one null check per dispatch); --validate and the
   /// -DPASTA_VALIDATE=ON build flip it.
   bool Validate = validateDefault();
 };

@@ -6,22 +6,9 @@
 
 #include "pasta/Events.h"
 
-#include "dl/Tensor.h"
-#include "sim/Kernel.h"
 #include "support/ErrorHandling.h"
 
 using namespace pasta;
-
-void Event::retainPointees() {
-  if (Kernel && !OwnedKernel) {
-    OwnedKernel = std::make_shared<sim::KernelDesc>(*Kernel);
-    Kernel = OwnedKernel.get();
-  }
-  if (Tensor && !OwnedTensor) {
-    OwnedTensor = std::make_shared<dl::TensorInfo>(*Tensor);
-    Tensor = OwnedTensor.get();
-  }
-}
 
 const char *pasta::eventKindName(EventKind Kind) {
   switch (Kind) {

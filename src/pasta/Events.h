@@ -145,16 +145,6 @@ struct Event {
   dl::ExecPhase Phase = dl::ExecPhase::Forward;
   PayloadStack PythonStack;
 
-  /// Replaces the borrowed Kernel/Tensor pointers with owning copies.
-  ///
-  /// \deprecated Superseded by EventArena::intern, which the processor
-  /// applies at admission (pinning the pointees into shared,
-  /// content-deduplicated copies). Kept as a thin compatibility shim for
-  /// code holding an Event beyond the producing callback without a
-  /// processor in play. Idempotent: a no-op when the pointees are
-  /// already owned.
-  void retainPointees();
-
   /// Pins \p K as this event's kernel descriptor: the borrowed pointer
   /// is redirected to the shared copy. Used by EventArena::intern.
   void adoptKernel(std::shared_ptr<const sim::KernelDesc> K) {

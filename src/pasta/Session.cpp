@@ -20,43 +20,36 @@
 #include "tools/TraceCaptureTool.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace pasta;
 
 namespace {
 
-ProfilerOptions profilerOptions(const SessionOptions &Opts) {
-  ProfilerOptions ProfOpts;
-  // The backend flavor is decided by PlatformBackend::attach; the
-  // profiler-side trace options only carry the tuning knobs.
-  ProfOpts.Trace.SampleRate = Opts.SampleRate;
-  ProfOpts.Trace.RecordGranularityBytes = Opts.RecordGranularityBytes;
-  ProfOpts.Trace.DeviceBufferRecords = Opts.DeviceBufferRecords;
-  ProfOpts.Processor.AnalysisThreads = Opts.AnalysisThreads;
-  ProfOpts.Processor.AsyncEvents = Opts.AsyncEvents;
-  ProfOpts.Processor.QueueDepth = Opts.QueueDepth;
-  ProfOpts.Processor.Overflow = Opts.Overflow;
-  ProfOpts.Processor.SampleEveryN = Opts.SampleEveryN;
-  ProfOpts.Processor.DispatchThreads = Opts.DispatchThreads;
-  ProfOpts.Processor.ArenaShards = Opts.ArenaShards;
-  ProfOpts.Processor.ArenaMemo = Opts.ArenaMemo;
-  ProfOpts.Processor.ArenaMaxBytes = Opts.ArenaMaxBytes;
-  ProfOpts.Processor.LanesAuto = Opts.LanesAuto;
-  ProfOpts.Processor.MinLanes = Opts.MinLanes;
-  ProfOpts.Processor.MaxLanes = Opts.MaxLanes;
-  ProfOpts.Processor.Validate = Opts.Validate;
-  return ProfOpts;
+ProcessorOptions processorOptions(const SessionOptions &Opts) {
+  ProcessorOptions Processor;
+  Processor.AnalysisThreads = Opts.AnalysisThreads;
+  Processor.AsyncEvents = Opts.AsyncEvents;
+  Processor.QueueDepth = Opts.QueueDepth;
+  Processor.Overflow = Opts.Overflow;
+  Processor.SampleEveryN = Opts.SampleEveryN;
+  Processor.DispatchThreads = Opts.DispatchThreads;
+  Processor.ArenaShards = Opts.ArenaShards;
+  Processor.ArenaMemo = Opts.ArenaMemo;
+  Processor.ArenaMaxBytes = Opts.ArenaMaxBytes;
+  Processor.LanesAuto = Opts.LanesAuto;
+  Processor.MinLanes = Opts.MinLanes;
+  Processor.MaxLanes = Opts.MaxLanes;
+  Processor.Validate = Opts.Validate;
+  return Processor;
 }
 
 } // namespace
 
 Session::Session(const SessionOptions &Opts)
-    : Opts(Opts), Prof(profilerOptions(Opts)) {}
+    : Opts(Opts), Processor(processorOptions(Opts)), Handler(Processor) {}
 
-Session::~Session() {
-  if (!Finished)
-    finish();
-}
+Session::~Session() { finish(); }
 
 bool Session::initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
                          SessionError &Err) {
@@ -86,15 +79,15 @@ bool Session::initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
     std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name, Err);
     if (!T)
       return false;
-    Prof.addTool(std::move(T));
+    addTool(std::move(T));
   }
   for (std::unique_ptr<Tool> &T : ExtraTools)
-    Prof.addTool(std::move(T));
+    addTool(std::move(T));
   if (!Opts.CapturePath.empty()) {
     auto Capture = std::make_unique<tools::TraceCaptureTool>(Opts.CapturePath);
     if (!Capture->openNow(Err))
       return false;
-    Prof.addTool(std::move(Capture));
+    addTool(std::move(Capture));
   }
   // Transport knobs: env-resolved defaults, overridden by any builder
   // knob the caller actually set (sentinels mean "inherit").
@@ -118,38 +111,39 @@ bool Session::initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
     Forward->setClientOptions(ClientOpts);
     if (!Forward->openNow(Err))
       return false;
-    Prof.addTool(std::move(Forward));
+    addTool(std::move(Forward));
   }
   // Every forwarder — --connect's and registry-created ("--tool
   // stream_forward") alike — gets the resolved transport knobs and the
   // pipeline-counter source for its finish-time meta frame.
-  for (const std::unique_ptr<Tool> &T : Prof.tools()) {
+  for (const std::unique_ptr<Tool> &T : Tools) {
     if (auto *Forward = dynamic_cast<tools::StreamForwardTool *>(T.get())) {
       Forward->setClientOptions(ClientOpts);
-      Forward->setPipelineStatsProvider(
-          [this] { return Prof.processor().stats(); });
+      Forward->setPipelineStatsProvider([this] { return Processor.stats(); });
     }
   }
 
   // Capability negotiation: enable only the instrumentation some tool
   // actually consumes.
-  for (const std::unique_ptr<Tool> &T : Prof.tools())
+  for (const std::unique_ptr<Tool> &T : Tools)
     Required |= T->requirements();
-  Negotiated =
-      Opts.Negotiate ? Required & Backend->capabilities() : Backend->capabilities();
+  Negotiated = Required & Backend->capabilities();
   CapabilitySet Missing = unsatisfied();
-  if (Opts.Negotiate && !Missing.empty())
+  if (!Missing.empty())
     logWarning("backend '" + Opts.Backend + "' cannot satisfy tool "
                "requirements: " + Missing.str());
 
-  // One source of truth for the tuning knobs: profilerOptions() already
-  // translated SessionOptions into TraceOptions.
-  const TraceOptions &Trace = Prof.options().Trace;
+  // The backend flavor is decided by PlatformBackend::attach; the trace
+  // options only carry the tuning knobs.
+  TraceOptions Trace;
+  Trace.SampleRate = Opts.SampleRate;
+  Trace.RecordGranularityBytes = Opts.RecordGranularityBytes;
+  Trace.DeviceBufferRecords = Opts.DeviceBufferRecords;
   for (int Rank = 0; Rank < Opts.DeviceCount; ++Rank) {
     DeviceApis.push_back(Backend->createRuntime(*System, Rank));
-    Backend->attach(Prof.handler(), Rank, Negotiated, Trace);
+    Backend->attach(Handler, Rank, Negotiated, Trace);
   }
-  Prof.attachDl(Callbacks);
+  Handler.attachDl(Callbacks);
   return true;
 }
 
@@ -163,7 +157,7 @@ Session::run(const std::function<void(dl::Executor &)> &Customize) {
     SessionResult Result;
     ReplayStats Stats;
     SessionError Err;
-    if (!Replay->replayInto(Prof.processor(), Stats, Err))
+    if (!Replay->replayInto(Processor, Stats, Err))
       logWarning("replay failed: " + Err.message());
     Result.Stats.StartTime = Stats.FirstTimestamp;
     Result.Stats.EndTime = Stats.LastTimestamp;
@@ -209,37 +203,77 @@ void Session::finish() {
   if (Finished)
     return;
   Finished = true;
-  Prof.finish();
+  Handler.detach();
+  // Hard flush barrier: every admitted event must reach the tools before
+  // onFinish snapshots their state (async reports stay deterministic).
+  Processor.flush();
+  for (const std::unique_ptr<Tool> &T : Tools)
+    if (!isDetached(T.get()))
+      T->onFinish();
 }
 
-void Session::writeReports(ReportSink &Sink) { Prof.writeReports(Sink); }
+void Session::writeReports(ReportSink &Sink) { writeReports(Sink, true); }
 
 void Session::writeReports(ReportSink &Sink, bool Close) {
-  Prof.writeReports(Sink, Close);
-}
-
-void Session::writeReports(std::FILE *Out) {
-  TextReportSink Sink(Out);
-  writeReports(Sink);
+  for (const std::unique_ptr<Tool> &T : Tools)
+    T->report(Sink);
+  if (Close)
+    Sink.close();
 }
 
 void Session::writePipelineReport(ReportSink &Sink) {
-  Prof.processor().reportPipeline(Sink);
+  Processor.reportPipeline(Sink);
+}
+
+bool Session::isDetached(const Tool *T) const {
+  return std::find(Detached.begin(), Detached.end(), T) != Detached.end();
 }
 
 Tool *Session::tool(const std::string &Name) const {
   // Detached tools stay in tools() (their frozen reports remain in the
   // output) but are no longer part of the live tool set this accessor
   // answers for — so detach-then-reattach round-trips work.
-  for (const std::unique_ptr<Tool> &T : Prof.tools())
-    if (T->name() == Name && !Prof.isDetached(T.get()))
+  for (const std::unique_ptr<Tool> &T : Tools)
+    if (T->name() == Name && !isDetached(T.get()))
       return T.get();
   return nullptr;
 }
 
+Tool *Session::addTool(std::unique_ptr<Tool> T) {
+  assert(T && "null tool");
+  Tool *Raw = T.get();
+  if (!Processor.addTool(Raw))
+    return nullptr; // rejected: called from inside a dispatch context
+  Tools.push_back(std::move(T));
+  Raw->onStart();
+  return Raw;
+}
+
 Tool *Session::addToolByName(const std::string &Name) {
   tools::registerBuiltinTools();
-  return Prof.addToolByName(Name);
+  SessionError Err;
+  std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name, Err);
+  if (!T) {
+    logWarning(Err.message());
+    return nullptr;
+  }
+  return addTool(std::move(T));
+}
+
+bool Session::detachTool(const std::string &Name) {
+  for (const std::unique_ptr<Tool> &T : Tools) {
+    // Keep scanning past a same-name tool that was already detached.
+    if (T->name() != Name || isDetached(T.get()))
+      continue;
+    if (!Processor.removeTool(T.get()))
+      return false; // rejected: called from inside a dispatch context
+    // The swap's drain barrier delivered every pre-detach admission; the
+    // tool's report is now a frozen snapshot of its attached window.
+    T->onFinish();
+    Detached.push_back(T.get());
+    return true;
+  }
+  return false;
 }
 
 std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {

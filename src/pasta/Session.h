@@ -37,7 +37,9 @@
 
 #include "dl/Callbacks.h"
 #include "pasta/Backend.h"
-#include "pasta/Profiler.h"
+#include "pasta/EventHandler.h"
+#include "pasta/EventProcessor.h"
+#include "pasta/Tool.h"
 #include "tools/UvmPrefetcher.h"
 
 #include <cstdint>
@@ -116,9 +118,6 @@ struct SessionOptions {
   /// lane-affinity watchdogs, subscription checks, payload canaries,
   /// flush-barrier assertions.
   bool Validate = ProcessorOptions().Validate;
-  /// When false, the backend enables everything it supports regardless of
-  /// tool requirements (legacy Profiler behavior).
-  bool Negotiate = true;
   /// Non-empty: capture the admitted event stream into this binary trace
   /// file (a trace_capture tool is attached automatically; see
   /// docs/TRACE_FORMAT.md).
@@ -160,8 +159,10 @@ public:
   //===--------------------------------------------------------------------===
   // Annotation API (pasta.start / pasta.stop; paper Listing 1)
   //===--------------------------------------------------------------------===
-  void start() { Prof.start(); }
-  void stop() { Prof.stop(); }
+  // Routed through the processor so the async pipeline flushes first and
+  // the region boundary falls between the same events as in sync mode.
+  void start() { Processor.annotationStart(); }
+  void stop() { Processor.annotationStop(); }
 
   //===--------------------------------------------------------------------===
   // Running work
@@ -190,8 +191,6 @@ public:
   /// Same, but leaves the sink open when \p Close is false so callers
   /// can append further report sections before closing once.
   void writeReports(ReportSink &Sink, bool Close);
-  /// Convenience: text sink over \p Out.
-  void writeReports(std::FILE *Out);
   /// Emits the dispatch-unit counters (EventsDropped, MaxQueueDepth,
   /// FlushCount, ...) as one "event_pipeline" report section. Kept out
   /// of writeReports so tool reports stay identical across sync/async
@@ -205,16 +204,14 @@ public:
   PlatformBackend &backend() { return *Backend; }
   /// Union of the attached tools' requirements.
   const CapabilitySet &required() const { return Required; }
-  /// Event classes actually instrumented (required ∩ backend caps, or
-  /// the full backend capability set when negotiation is off).
+  /// Event classes actually instrumented (required ∩ backend caps).
   const CapabilitySet &negotiated() const { return Negotiated; }
   /// Requirements the backend could not satisfy (empty when all good).
   CapabilitySet unsatisfied() const {
     return Required.minus(Backend->capabilities());
   }
 
-  Profiler &profiler() { return Prof; }
-  EventProcessor &processor() { return Prof.processor(); }
+  EventProcessor &processor() { return Processor; }
   sim::System &system() { return *System; }
   dl::CallbackRegistry &callbacks() { return Callbacks; }
   /// First tool with \p Name, null when absent. The typed variant is a
@@ -225,9 +222,9 @@ public:
   template <typename ToolT> ToolT *toolAs(const std::string &Name) const {
     return dynamic_cast<ToolT *>(tool(Name));
   }
-  const std::vector<std::unique_ptr<Tool>> &tools() const {
-    return Prof.tools();
-  }
+  /// Every tool the session owns, detached ones included (their frozen
+  /// reports stay in writeReports()).
+  const std::vector<std::unique_ptr<Tool>> &tools() const { return Tools; }
 
   //===--------------------------------------------------------------------===
   // Live reconfiguration
@@ -237,16 +234,16 @@ public:
   /// event admitted afterwards. Returns the raw pointer, or null when
   /// called from inside a dispatch context (a tool hook cannot
   /// reconfigure the pipeline that is delivering to it).
-  Tool *addTool(std::unique_ptr<Tool> T) { return Prof.addTool(std::move(T)); }
-  /// Registry-name variant of the live addTool.
+  Tool *addTool(std::unique_ptr<Tool> T);
+  /// Registry-name variant of the live addTool; null (with a logged
+  /// warning) when the name is unknown.
   Tool *addToolByName(const std::string &Name);
-  /// Detaches the named tool from the running session: pre-detach
-  /// admissions drain into it, its onFinish runs, and its report
-  /// freezes — it still appears in writeReports(). Returns false when
-  /// no attached tool has that name.
-  bool detachTool(const std::string &Name) {
-    return Prof.detachToolByName(Name);
-  }
+  /// Detaches the first attached tool named \p Name from the running
+  /// session: pre-detach admissions drain into it, its onFinish runs,
+  /// and its report freezes — it still appears in writeReports(), but
+  /// finish() does not run its onFinish again. Returns false when no
+  /// attached tool has that name or when called from a dispatch context.
+  bool detachTool(const std::string &Name);
 
 private:
   friend class SessionBuilder;
@@ -256,11 +253,21 @@ private:
   /// with \p Err set on failure.
   bool initialize(std::vector<std::unique_ptr<Tool>> ExtraTools,
                   SessionError &Err);
+  bool isDetached(const Tool *T) const;
 
+  // Declaration order is destruction order, reversed: the runtimes and
+  // callback registry go first, then the tools, the handler and the
+  // processor, and the backend and simulated system last.
   SessionOptions Opts;
   std::unique_ptr<sim::System> System;
   std::unique_ptr<PlatformBackend> Backend;
-  Profiler Prof;
+  EventProcessor Processor;
+  EventHandler Handler;
+  std::vector<std::unique_ptr<Tool>> Tools;
+  /// Tools detached from the live pipeline: onFinish already ran at
+  /// detach (their reports are frozen snapshots of the attached window),
+  /// so finish() must not run it again.
+  std::vector<const Tool *> Detached;
   dl::CallbackRegistry Callbacks;
   std::vector<std::unique_ptr<dl::DeviceApi>> DeviceApis;
   CapabilitySet Required;
@@ -412,10 +419,6 @@ public:
   /// Validator::setHandler).
   SessionBuilder &validate(bool Enabled = true) {
     Opts.Validate = Enabled;
-    return *this;
-  }
-  SessionBuilder &negotiate(bool Enabled) {
-    Opts.Negotiate = Enabled;
     return *this;
   }
   /// Captures the admitted event stream into \p Path (binary trace; a

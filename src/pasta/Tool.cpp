@@ -85,53 +85,11 @@ CapabilitySet Subscription::requiredCapabilities() const {
   return Required;
 }
 
-CapabilitySet Tool::probeFineGrained() {
-  // Probe the fine-grained hooks with empty payloads: when the virtual
-  // call lands back in the Tool default, that hook was not overridden and
-  // the matching capability is not required. Overrides observe one
-  // zero-record batch / zero mix, which every tool treats as a no-op.
-  CapabilitySet DefaultsReached;
-  ProbeSink = &DefaultsReached;
-  sim::LaunchInfo ProbeInfo;
-  onAccessBatch(ProbeInfo, nullptr, 0);
-  onInstrMix(ProbeInfo, sim::InstrMix());
-  ProbeSink = nullptr;
-
-  CapabilitySet Probed;
-  if (!DefaultsReached.has(Capability::AccessRecords) || deviceAnalysis())
-    Probed |= Capability::AccessRecords;
-  if (!DefaultsReached.has(Capability::InstrMix))
-    Probed |= Capability::InstrMix;
-  return Probed;
-}
-
-Subscription Tool::subscription() {
-  // Migration default for override-only tools: everything coarse on one
-  // serial lane, trace breakdowns on (the probe cannot see an
-  // onKernelTraceEnd override), fine-grained interests from the probe.
-  CapabilitySet Probed = probeFineGrained();
-  Subscription Sub;
-  Sub.Kinds = EventKindMask::all();
-  Sub.AccessRecords = Probed.has(Capability::AccessRecords);
-  Sub.InstrMix = Probed.has(Capability::InstrMix);
-  Sub.KernelTrace = true;
-  // Conservative: a legacy tool may capture stacks from any hook, so its
-  // lane keeps receiving Python-stack context. Explicit subscriptions
-  // opt out (or in) precisely.
-  Sub.CapturesStacks = true;
-  Sub.Model = ExecutionModel::Serial;
-  return Sub;
-}
-
 CapabilitySet Tool::requirements() {
   CapabilitySet Required = subscription().requiredCapabilities();
   if (deviceAnalysis())
     Required |= Capability::AccessRecords;
   return Required;
-}
-
-CapabilitySet Tool::legacyProbeRequirements() {
-  return CapabilitySet(Capability::CoarseEvents) | probeFineGrained();
 }
 
 std::string Tool::renderTextReport() {

@@ -132,9 +132,7 @@ struct Subscription {
   ExecutionModel Model = ExecutionModel::Serial;
 
   /// The capability set this subscription negotiates for. CoarseEvents
-  /// is always included (every backend has the cheap callbacks, and the
-  /// legacy probe always requested it), so declared subscriptions
-  /// negotiate the exact same instrumentation as the probe did.
+  /// is always included: every backend has the cheap callbacks.
   CapabilitySet requiredCapabilities() const;
 };
 
@@ -161,32 +159,19 @@ public:
   /// Declares what this tool consumes and under which concurrency
   /// contract. The dispatch unit routes only the declared event kinds to
   /// the tool (kind hook and generic onEvent hook alike) and uses the
-  /// ExecutionModel to place the tool on its dispatch lanes.
-  ///
-  /// The default is the migration path for override-only tools: it
-  /// subscribes to every discrete kind under the Serial contract, keeps
-  /// per-launch trace breakdowns on, and derives the fine-grained
-  /// interests from which hooks are overridden (the empty-payload probe
-  /// that used to live in requirements()). Tools should override this
-  /// with an exact declaration — it is both cheaper (no fan-out of
-  /// events nobody wants) and the only way to opt into a concurrent
-  /// contract.
-  virtual Subscription subscription();
+  /// ExecutionModel to place the tool on its dispatch lanes. Every tool
+  /// declares one: event hooks the subscription does not name are never
+  /// called.
+  virtual Subscription subscription() = 0;
 
   /// Event classes this tool consumes; sessions enable only the matching
-  /// backend instrumentation (capability negotiation). Now a derived
-  /// default: subscription().requiredCapabilities(), plus AccessRecords
-  /// when deviceAnalysis() is non-null. Override only when the
-  /// negotiated set must differ from the declared subscription.
+  /// backend instrumentation (capability negotiation). The default is
+  /// subscription().requiredCapabilities(), plus AccessRecords when
+  /// deviceAnalysis() is non-null. Override only when the negotiated set
+  /// must differ from the declared subscription.
   virtual CapabilitySet requirements();
 
-  /// The pre-subscription probe: derives requirements from which
-  /// fine-grained hooks are overridden, exactly as the old default
-  /// requirements() did. Kept public so tests can assert a declared
-  /// subscription negotiates the same capabilities the probe would have.
-  CapabilitySet legacyProbeRequirements();
-
-  /// Lifecycle: called when the profiler activates / deactivates the tool.
+  /// Lifecycle: called when the session activates / deactivates the tool.
   virtual void onStart() {}
   virtual void onFinish() {}
   /// Called when the tool joins an event processor; tools that capture
@@ -225,8 +210,6 @@ public:
     (void)Info;
     (void)Records;
     (void)Count;
-    if (ProbeSink)
-      *ProbeSink |= Capability::AccessRecords;
   }
   /// Device-resident path (Fig. 2b): non-null enables in-situ analysis.
   virtual DeviceAnalysis *deviceAnalysis() { return nullptr; }
@@ -235,8 +218,6 @@ public:
                           const sim::InstrMix &Mix) {
     (void)Info;
     (void)Mix;
-    if (ProbeSink)
-      *ProbeSink |= Capability::InstrMix;
   }
   /// Per-launch instrumentation cost breakdown (Fig. 10's components).
   virtual void onKernelTraceEnd(const sim::LaunchInfo &Info,
@@ -259,18 +240,6 @@ protected:
   /// Renders writeReport(FILE*) into a string (for report() overrides
   /// that want the text body alongside their metrics).
   std::string renderTextReport();
-
-private:
-  /// Probes onAccessBatch/onInstrMix with empty payloads and returns the
-  /// capabilities whose hooks a subclass replaced (or AccessRecords when
-  /// deviceAnalysis() is non-null). Feeds the default subscription() and
-  /// legacyProbeRequirements().
-  CapabilitySet probeFineGrained();
-
-  /// Where the base-class fine-grained hook defaults record that they —
-  /// and not an override — were reached; only set while probeFineGrained
-  /// runs.
-  CapabilitySet *ProbeSink = nullptr;
 };
 
 /// Factory registry so tools can be selected by name via the PASTA_TOOL

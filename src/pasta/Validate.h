@@ -17,7 +17,7 @@
 /// dynamically.
 ///
 /// Cost model: validation is a per-processor opt-in (ProcessorOptions::
-/// Validate / SessionBuilder::validate() / PASTA_VALIDATE env /
+/// Validate / SessionBuilder::validate() / accelprof --validate /
 /// -DPASTA_VALIDATE=ON build default). When off, the pipeline carries
 /// exactly one null-pointer test per dispatch and nothing else — the
 /// Validator object does not exist. When on, every delivery takes a

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Typed accessors for the environment variables PASTA exposes to users
-/// (e.g. START_GRID_ID, END_GRID_ID, PASTA_TOOL, ACCEL_PROF_ENV_SAMPLE_RATE).
+/// (e.g. START_GRID_ID, END_GRID_ID, PASTA_TOOL, PASTA_LOG_LEVEL).
 /// An in-process override map keeps tests hermetic: overrides shadow the
 /// real process environment and can be cleared per test.
 ///

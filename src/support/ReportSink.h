@@ -44,7 +44,7 @@ public:
   virtual void close() {}
 };
 
-/// Human-readable rendering, the writeReports(stdout) replacement. When
+/// Human-readable rendering (e.g. `TextReportSink Sink(stdout)`). When
 /// a report carries a free-text body (the legacy writeReport rendering,
 /// which already contains every metric in tabular form) only the body is
 /// printed, byte-for-byte matching the historical output; the key/value

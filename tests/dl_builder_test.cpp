@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 using namespace pasta;
@@ -265,6 +266,13 @@ struct ZooCase {
   const char *Name;
   bool Training;
 };
+
+/// gtest would otherwise print the raw bytes of Name's address, which
+/// CTest copies into the test name; with address-space randomization that
+/// name changed every time the tests were discovered.
+void PrintTo(const ZooCase &C, std::ostream *OS) {
+  *OS << C.Name << (C.Training ? " training" : " inference");
+}
 
 class ModelZooSweep : public ::testing::TestWithParam<ZooCase> {};
 

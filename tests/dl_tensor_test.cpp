@@ -6,15 +6,13 @@
 
 #include "dl/Models.h"
 #include "dl/Tensor.h"
-#include "pasta/Profiler.h"
-#include "support/Env.h"
-#include "tools/RegisterTools.h"
-#include "tools/Workloads.h"
+#include "tests/TestSession.h"
 
 #include <gtest/gtest.h>
 
 using namespace pasta;
 using namespace pasta::dl;
+using pasta::test::buildSession;
 
 //===----------------------------------------------------------------------===//
 // TensorShape / TensorInfo
@@ -93,11 +91,16 @@ TEST(TableIITest, AllThreeLevelsPopulated) {
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — lifecycle hooks only; the
-// probe-based default subscription is exactly what a hook-only tool gets.
 class LifecycleTool : public Tool {
 public:
   std::string name() const override { return "lifecycle"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onStart() override { ++Starts; }
   void onFinish() override { ++Finishes; }
   int Starts = 0, Finishes = 0;
@@ -109,49 +112,33 @@ TEST(ProfilerLifecycleTest, StartAndFinishFireOnce) {
   auto Owned = std::make_unique<LifecycleTool>();
   LifecycleTool *Raw = Owned.get();
   {
-    Profiler Prof;
-    Prof.addTool(std::move(Owned));
+    SessionBuilder Builder;
+    auto S = buildSession(Builder);
+    S->addTool(std::move(Owned));
     EXPECT_EQ(Raw->Starts, 1);
-    Prof.finish();
-    Prof.finish(); // idempotent
+    S->finish();
+    S->finish(); // idempotent
     EXPECT_EQ(Raw->Finishes, 1);
   }
 }
 
 TEST(ProfilerLifecycleTest, DestructorFinishes) {
   {
-    Profiler Prof;
-    auto Owned = std::make_unique<LifecycleTool>();
-    Prof.addTool(std::move(Owned));
+    SessionBuilder Builder;
+    auto S = buildSession(Builder);
+    S->addTool(std::make_unique<LifecycleTool>());
     // No explicit finish: the destructor must call it while the tool is
-    // still alive (profiler owns the tool).
+    // still alive (the session owns the tool; ASan flags a use after
+    // free).
   }
-  // Raw dangles now; the assertion happened implicitly — reaching here
-  // without UB under ASAN-less builds is weak, so also test via options.
   SUCCEED();
 }
 
-TEST(ProfilerLifecycleTest, OptionsFromEnv) {
-  setEnvOverride("PASTA_BACKEND", "cs-cpu");
-  setEnvOverride("ACCEL_PROF_ENV_SAMPLE_RATE", "0.25");
-  setEnvOverride("PASTA_TRACE_GRANULARITY", "8192");
-  ProfilerOptions Opts = ProfilerOptions::fromEnv();
-  EXPECT_EQ(Opts.Trace.Backend, TraceBackend::SanitizerCpu);
-  EXPECT_DOUBLE_EQ(Opts.Trace.SampleRate, 0.25);
-  EXPECT_EQ(Opts.Trace.RecordGranularityBytes, 8192u);
-  clearAllEnvOverrides();
-}
-
-TEST(ProfilerLifecycleTest, UnknownBackendFallsBackToNone) {
-  setEnvOverride("PASTA_BACKEND", "quantum");
-  EXPECT_EQ(ProfilerOptions::fromEnv().Trace.Backend, TraceBackend::None);
-  clearAllEnvOverrides();
-}
-
 TEST(ProfilerLifecycleTest, UnknownToolNameReturnsNull) {
-  Profiler Prof;
-  EXPECT_EQ(Prof.addToolByName("no_such_tool"), nullptr);
-  EXPECT_TRUE(Prof.tools().empty());
+  SessionBuilder Builder;
+  auto S = buildSession(Builder);
+  EXPECT_EQ(S->addToolByName("no_such_tool"), nullptr);
+  EXPECT_TRUE(S->tools().empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -159,37 +146,35 @@ TEST(ProfilerLifecycleTest, UnknownToolNameReturnsNull) {
 //===----------------------------------------------------------------------===//
 
 TEST(WorkloadHarnessTest, NativeRunTimePositiveAndStable) {
-  tools::WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  SimTime A = tools::nativeRunTime(Config);
-  SimTime B = tools::nativeRunTime(Config);
+  auto NativeRunTime = [] {
+    SessionBuilder Builder;
+    return buildSession(Builder.model("resnet18").iterations(1))
+        ->run()
+        .Stats.wallTime();
+  };
+  SimTime A = NativeRunTime();
+  SimTime B = NativeRunTime();
   EXPECT_GT(A, 0u);
   EXPECT_EQ(A, B);
 }
 
 TEST(WorkloadHarnessTest, AmdGpuSelectsHipPath) {
-  tools::registerBuiltinTools();
-  tools::WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Gpu = "MI300X";
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = 65536;
-  Profiler Prof;
-  Prof.addToolByName("working_set");
-  tools::WorkloadResult Result = tools::runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.tool("working_set")
+      .backend("cs-gpu")
+      .gpu("MI300X")
+      .model("resnet18")
+      .iterations(1)
+      .recordGranularity(65536);
+  SessionResult Result = buildSession(Builder)->run();
   EXPECT_GT(Result.Stats.KernelsLaunched, 0u);
 }
 
 TEST(WorkloadHarnessTest, IterationOverrideRespected) {
-  tools::WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 2;
-  Profiler P1;
-  std::uint64_t Two = tools::runWorkload(Config, P1).ProgramKernels;
-  Config.Iterations = 1;
-  Profiler P2;
-  std::uint64_t One = tools::runWorkload(Config, P2).ProgramKernels;
+  SessionBuilder Builder;
+  Builder.model("bert").iterations(2);
+  std::uint64_t Two = buildSession(Builder)->run().ProgramKernels;
+  Builder.iterations(1);
+  std::uint64_t One = buildSession(Builder)->run().ProgramKernels;
   EXPECT_EQ(Two, 2 * One);
 }

@@ -4,17 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pasta/Profiler.h"
 #include "support/Env.h"
+#include "tests/TestSession.h"
 #include "tools/KernelFrequencyTool.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 #include <gtest/gtest.h>
 
 using namespace pasta;
 using namespace pasta::tools;
+using pasta::test::buildSession;
 
 namespace {
 
@@ -29,25 +29,20 @@ protected:
   void SetUp() override { registerBuiltinTools(); }
   void TearDown() override { clearAllEnvOverrides(); }
 
-  WorkloadConfig baseConfig() {
-    WorkloadConfig Config;
-    Config.Model = GetParam();
-    Config.Iterations = 1;
-    Config.RecordGranularityBytes = 65536;
-    return Config;
+  SessionBuilder baseBuilder() {
+    SessionBuilder Builder;
+    Builder.model(GetParam()).iterations(1).recordGranularity(65536);
+    return Builder;
   }
 };
 
 } // namespace
 
 TEST_P(ModelSweep, WorkingSetBoundedByFootprint) {
-  WorkloadConfig Config = baseConfig();
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(Config, Prof);
-  auto Summary = Ws->summary();
+  SessionBuilder Builder = baseBuilder();
+  auto S = buildSession(Builder.tool("working_set").backend("cs-gpu"));
+  S->run();
+  auto Summary = S->toolAs<WorkingSetTool>("working_set")->summary();
   EXPECT_GT(Summary.WorkingSetBytes, 0u);
   EXPECT_LE(Summary.WorkingSetBytes, Summary.PeakFootprintBytes);
 }
@@ -55,20 +50,17 @@ TEST_P(ModelSweep, WorkingSetBoundedByFootprint) {
 TEST_P(ModelSweep, BackendOverheadOrdering) {
   // Paper Fig. 9's ordering must hold for every model: native < CS-GPU
   // < CS-CPU < NVBIT-CPU in simulated time.
-  auto TimeWith = [&](TraceBackend Backend) {
-    WorkloadConfig Config = baseConfig();
-    Config.Backend = Backend;
-    Profiler Prof;
-    if (Backend != TraceBackend::None)
-      Prof.addToolByName(Backend == TraceBackend::SanitizerGpu
-                             ? "working_set"
-                             : "working_set_host");
-    return runWorkload(Config, Prof).Stats.wallTime();
+  auto TimeWith = [&](const std::string &Backend) {
+    SessionBuilder Builder = baseBuilder();
+    Builder.backend(Backend);
+    if (Backend != "none")
+      Builder.tool(Backend == "cs-gpu" ? "working_set" : "working_set_host");
+    return buildSession(Builder)->run().Stats.wallTime();
   };
-  SimTime Native = TimeWith(TraceBackend::None);
-  SimTime CsGpu = TimeWith(TraceBackend::SanitizerGpu);
-  SimTime CsCpu = TimeWith(TraceBackend::SanitizerCpu);
-  SimTime Nvbit = TimeWith(TraceBackend::NvbitCpu);
+  SimTime Native = TimeWith("none");
+  SimTime CsGpu = TimeWith("cs-gpu");
+  SimTime CsCpu = TimeWith("cs-cpu");
+  SimTime Nvbit = TimeWith("nvbit-cpu");
   EXPECT_LT(Native, CsGpu);
   EXPECT_LT(CsGpu * 10, CsCpu) << "GPU-resident analysis must win big";
   EXPECT_LT(CsCpu, Nvbit);
@@ -78,14 +70,12 @@ TEST_P(ModelSweep, InstrumentationPreservesAnalysisResults) {
   // Sampling at different granularities must not change the identified
   // working set materially (records sweep every segment).
   auto WsWith = [&](std::uint64_t Granularity) {
-    WorkloadConfig Config = baseConfig();
-    Config.Backend = TraceBackend::SanitizerGpu;
-    Config.RecordGranularityBytes = Granularity;
-    Profiler Prof;
-    auto *Ws =
-        static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-    runWorkload(Config, Prof);
-    return Ws->summary().WorkingSetBytes;
+    SessionBuilder Builder = baseBuilder();
+    Builder.tool("working_set").backend("cs-gpu").recordGranularity(
+        Granularity);
+    auto S = buildSession(Builder);
+    S->run();
+    return S->toolAs<WorkingSetTool>("working_set")->summary().WorkingSetBytes;
   };
   std::uint64_t Fine = WsWith(16384);
   std::uint64_t Coarse = WsWith(262144);
@@ -93,28 +83,21 @@ TEST_P(ModelSweep, InstrumentationPreservesAnalysisResults) {
 }
 
 TEST_P(ModelSweep, TrainingFootprintExceedsInference) {
-  WorkloadConfig Infer = baseConfig();
-  Profiler P1;
-  std::uint64_t InferPeak =
-      runWorkload(Infer, P1).Stats.PeakReserved;
-  WorkloadConfig Train = baseConfig();
-  Train.Training = true;
-  Profiler P2;
+  SessionBuilder Infer = baseBuilder();
+  std::uint64_t InferPeak = buildSession(Infer)->run().Stats.PeakReserved;
+  SessionBuilder Train = baseBuilder();
   std::uint64_t TrainPeak =
-      runWorkload(Train, P2).Stats.PeakReserved;
+      buildSession(Train.training())->run().Stats.PeakReserved;
   EXPECT_GT(TrainPeak, InferPeak);
 }
 
 TEST_P(ModelSweep, CrossVendorKernelCountsComparable) {
-  WorkloadConfig Nvidia = baseConfig();
-  Nvidia.Gpu = "A100";
-  Profiler P1;
+  SessionBuilder Nvidia = baseBuilder();
   std::uint64_t NvidiaKernels =
-      runWorkload(Nvidia, P1).Stats.KernelsLaunched;
-  WorkloadConfig Amd = baseConfig();
-  Amd.Gpu = "MI300X";
-  Profiler P2;
-  std::uint64_t AmdKernels = runWorkload(Amd, P2).Stats.KernelsLaunched;
+      buildSession(Nvidia.gpu("A100"))->run().Stats.KernelsLaunched;
+  SessionBuilder Amd = baseBuilder();
+  std::uint64_t AmdKernels =
+      buildSession(Amd.gpu("MI300X"))->run().Stats.KernelsLaunched;
   // MIOpen decomposes more finely, but within 2x (Fig. 14's regime).
   EXPECT_GE(AmdKernels, NvidiaKernels);
   EXPECT_LT(AmdKernels, NvidiaKernels * 2);
@@ -131,14 +114,15 @@ INSTANTIATE_TEST_SUITE_P(Models, ModelSweep,
 
 TEST_F(IntegrationFixture, SampleRateReducesOverheadProportionally) {
   auto TimeWith = [&](double Rate) {
-    WorkloadConfig Config;
-    Config.Model = "bert";
-    Config.Iterations = 1;
-    Config.Backend = TraceBackend::SanitizerCpu;
-    Config.SampleRate = Rate;
-    Config.RecordGranularityBytes = 65536;
-    Profiler Prof;
-    return runWorkload(Config, Prof).Stats.wallTime();
+    // A record consumer is attached so negotiation enables tracing.
+    SessionBuilder Builder;
+    Builder.tool("working_set_host")
+        .backend("cs-cpu")
+        .model("bert")
+        .iterations(1)
+        .sampleRate(Rate)
+        .recordGranularity(65536);
+    return buildSession(Builder)->run().Stats.wallTime();
   };
   SimTime Full = TimeWith(1.0);
   SimTime Tenth = TimeWith(0.1);
@@ -149,41 +133,35 @@ TEST_F(IntegrationFixture, SampleRateReducesOverheadProportionally) {
 TEST_F(IntegrationFixture, GridRangeFilterLimitsAnalysis) {
   setEnvOverride("START_GRID_ID", "10");
   setEnvOverride("END_GRID_ID", "20");
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  runWorkload(Config, Prof);
-  EXPECT_EQ(Freq->totalLaunches(), 11u);
+  SessionBuilder Builder;
+  auto S = buildSession(
+      Builder.tool("kernel_frequency").model("resnet18").iterations(1));
+  S->run();
+  EXPECT_EQ(S->toolAs<KernelFrequencyTool>("kernel_frequency")
+                ->totalLaunches(),
+            11u);
 }
 
 TEST_F(IntegrationFixture, AnnotationsGateToolVisibility) {
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
+  SessionBuilder Builder;
+  auto S = buildSession(
+      Builder.tool("kernel_frequency").model("resnet18").iterations(1));
   // Touch the annotation API before the run so only annotated regions
-  // count; the workload runner never calls start(), so nothing counts.
-  Prof.start();
-  Prof.stop();
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  runWorkload(Config, Prof);
-  EXPECT_EQ(Freq->totalLaunches(), 0u);
+  // count; the run itself never calls start(), so nothing counts.
+  S->start();
+  S->stop();
+  S->run();
+  EXPECT_EQ(S->toolAs<KernelFrequencyTool>("kernel_frequency")
+                ->totalLaunches(),
+            0u);
 }
 
 TEST_F(IntegrationFixture, OversubscriptionSlowsExecution) {
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Managed = true;
-  Profiler P1;
-  WorkloadResult Free = runWorkload(Config, P1);
-  Config.MemoryLimitBytes = Free.Stats.PeakReserved / 3;
-  Profiler P2;
-  WorkloadResult Limited = runWorkload(Config, P2);
+  SessionBuilder Builder;
+  Builder.model("resnet18").iterations(1).managed();
+  SessionResult Free = buildSession(Builder)->run();
+  Builder.memoryLimit(Free.Stats.PeakReserved / 3);
+  SessionResult Limited = buildSession(Builder)->run();
   EXPECT_GT(Limited.Stats.wallTime(), Free.Stats.wallTime());
   EXPECT_GT(Limited.Uvm.Evictions, Free.Uvm.Evictions);
 }
@@ -191,63 +169,54 @@ TEST_F(IntegrationFixture, OversubscriptionSlowsExecution) {
 TEST_F(IntegrationFixture, ObjectPrefetchThrashesUnderOversubscription) {
   // Fig. 12's mechanism: object-level prefetching causes more evictions
   // than tensor-level under a 3x-oversubscribed budget.
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Managed = true;
-  Profiler P0;
-  std::uint64_t Footprint = runWorkload(Config, P0).Stats.PeakReserved;
-  Config.MemoryLimitBytes = Footprint / 3;
+  SessionBuilder Builder;
+  Builder.model("resnet18").iterations(1).managed();
+  std::uint64_t Footprint = buildSession(Builder)->run().Stats.PeakReserved;
+  Builder.memoryLimit(Footprint / 3);
 
-  Config.Prefetch = PrefetchLevel::Object;
-  Profiler P1;
-  WorkloadResult Object = runWorkload(Config, P1);
-  Config.Prefetch = PrefetchLevel::Tensor;
-  Profiler P2;
-  WorkloadResult Tensor = runWorkload(Config, P2);
+  SessionResult Object =
+      buildSession(Builder.prefetch(PrefetchLevel::Object))->run();
+  SessionResult Tensor =
+      buildSession(Builder.prefetch(PrefetchLevel::Tensor))->run();
   EXPECT_GT(Object.Uvm.PrefetchedBytes, Tensor.Uvm.PrefetchedBytes);
   EXPECT_GT(Object.Stats.wallTime(), Tensor.Stats.wallTime());
 }
 
 TEST_F(IntegrationFixture, PrefetchHelpsWithoutOversubscription) {
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 1;
-  Config.Managed = true;
-  Profiler P1;
-  SimTime Base = runWorkload(Config, P1).Stats.wallTime();
-  Config.Prefetch = PrefetchLevel::Tensor;
-  Profiler P2;
-  SimTime Prefetched = runWorkload(Config, P2).Stats.wallTime();
+  SessionBuilder Builder;
+  Builder.model("bert").iterations(1).managed();
+  SimTime Base = buildSession(Builder)->run().Stats.wallTime();
+  SimTime Prefetched = buildSession(Builder.prefetch(PrefetchLevel::Tensor))
+                           ->run()
+                           .Stats.wallTime();
   EXPECT_LT(Prefetched, Base) << "Fig. 11: prefetching beats faulting";
 }
 
 TEST_F(IntegrationFixture, MultipleToolsShareOneRun) {
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = 65536;
-  runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.tool("kernel_frequency")
+      .tool("working_set")
+      .backend("cs-gpu")
+      .model("resnet18")
+      .iterations(1)
+      .recordGranularity(65536);
+  auto S = buildSession(Builder);
+  S->run();
+  auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
   EXPECT_GT(Freq->totalLaunches(), 0u);
   EXPECT_EQ(Ws->summary().KernelCount, Freq->totalLaunches());
 }
 
 TEST_F(IntegrationFixture, SimulatedTimeDeterministicAcrossRuns) {
   auto Run = [&] {
-    WorkloadConfig Config;
-    Config.Model = "bert";
-    Config.Iterations = 1;
-    Config.Backend = TraceBackend::SanitizerGpu;
-    Config.RecordGranularityBytes = 65536;
-    Profiler Prof;
-    Prof.addToolByName("working_set");
-    return runWorkload(Config, Prof).Stats.wallTime();
+    SessionBuilder Builder;
+    Builder.tool("working_set")
+        .backend("cs-gpu")
+        .model("bert")
+        .iterations(1)
+        .recordGranularity(65536);
+    return buildSession(Builder)->run().Stats.wallTime();
   };
   EXPECT_EQ(Run(), Run());
 }

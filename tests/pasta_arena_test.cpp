@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The zero-copy payload arena: PayloadString/PayloadStack handle
-// semantics, cross-event interning (dedup), pointee pinning superseding
-// Event::retainPointees, payload lifetime beyond the producing frame and
-// across flush barriers / lossy overflow churn, and the multi-lane
-// refcount path (ArenaPipeline.* runs under TSan in CI at 4 lanes).
+// semantics, cross-event interning (dedup), pointee pinning, payload
+// lifetime beyond the producing frame and across flush barriers / lossy
+// overflow churn, and the multi-lane refcount path (ArenaPipeline.* runs
+// under TSan in CI at 4 lanes).
 //
 //===----------------------------------------------------------------------===//
 
@@ -163,21 +163,6 @@ TEST(EventArenaTest, InternEventCanonicalizesEveryPayload) {
   // The borrowed pointer was redirected to the pinned copy.
   EXPECT_EQ(First.Kernel, First.ownedKernel().get());
   EXPECT_NE(First.Kernel, &K);
-}
-
-TEST(EventArenaTest, RetainPointeesShimIsIdempotentAfterIntern) {
-  EventArena Arena;
-  sim::KernelDesc K;
-  K.Name = "kernel_b";
-  Event E;
-  E.Kind = EventKind::KernelLaunch;
-  E.Kernel = &K;
-  Arena.intern(E);
-  const sim::KernelDesc *Interned = E.Kernel;
-  // The deprecated shim must not replace an already-owned pointee with
-  // a fresh private copy.
-  E.retainPointees();
-  EXPECT_EQ(E.Kernel, Interned);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,13 +19,18 @@ using namespace pasta;
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — these tools exercise the
-// probe-based migration default (hook probing is part of what's tested).
-
 /// Tool recording everything it receives.
 class RecordingTool : public Tool {
 public:
   std::string name() const override { return "recording"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.AccessRecords = true;
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &E) override { AllEvents.push_back(E.Kind); }
   void onKernelLaunch(const Event &) override { ++KernelLaunches; }
   void onTensorAlloc(const Event &) override { ++TensorAllocs; }
@@ -46,6 +51,14 @@ public:
 class DeviceTool : public Tool {
 public:
   std::string name() const override { return "device"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.AccessRecords = true;
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   DeviceAnalysis *deviceAnalysis() override { return &Reducer; }
 
   struct Counter : DeviceAnalysis {

@@ -7,15 +7,16 @@
 #include "pasta/Annotations.h"
 #include "pasta/Injection.h"
 #include "support/Env.h"
+#include "tests/TestSession.h"
 #include "tools/OpKernelMapTool.h"
 #include "tools/RegisterTools.h"
 #include "tools/UvmAdvisorTool.h"
-#include "tools/Workloads.h"
 
 #include <gtest/gtest.h>
 
 using namespace pasta;
 using namespace pasta::tools;
+using pasta::test::buildSession;
 
 namespace {
 
@@ -23,6 +24,12 @@ class ExtrasTest : public ::testing::Test {
 protected:
   void SetUp() override { registerBuiltinTools(); }
   void TearDown() override { clearAllEnvOverrides(); }
+
+  /// A one-iteration session of \p Model with \p ToolName attached.
+  std::unique_ptr<Session> session(const char *ToolName, const char *Model) {
+    SessionBuilder Builder;
+    return buildSession(Builder.tool(ToolName).model(Model).iterations(1));
+  }
 };
 
 } // namespace
@@ -32,13 +39,14 @@ protected:
 //===----------------------------------------------------------------------===//
 
 TEST_F(ExtrasTest, ScopedRegionBracketsAnalysis) {
-  Profiler Prof;
-  RangeFilter &Filter = Prof.processor().rangeFilter();
+  SessionBuilder Builder;
+  auto S = buildSession(Builder);
+  RangeFilter &Filter = S->processor().rangeFilter();
   {
-    ScopedRegion Region(Prof);
+    ScopedRegion Region(*S);
     EXPECT_TRUE(Filter.regionActive());
     {
-      ScopedRegion Nested(Prof);
+      ScopedRegion Nested(*S);
       EXPECT_TRUE(Filter.regionActive());
     }
     EXPECT_TRUE(Filter.regionActive());
@@ -77,13 +85,9 @@ TEST(InjectionTest, CudaInjectionPathSkipsHelpers) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ExtrasTest, OpKernelMapAttributesEveryKernel) {
-  Profiler Prof;
-  auto *Map = static_cast<OpKernelMapTool *>(
-      Prof.addToolByName("op_kernel_map"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  WorkloadResult Result = runWorkload(Config, Prof);
+  auto S = session("op_kernel_map", "resnet18");
+  SessionResult Result = S->run();
+  auto *Map = S->toolAs<OpKernelMapTool>("op_kernel_map");
 
   std::uint64_t Attributed = 0;
   for (const auto &[Name, Profile] : Map->profiles())
@@ -95,13 +99,9 @@ TEST_F(ExtrasTest, OpKernelMapAttributesEveryKernel) {
 }
 
 TEST_F(ExtrasTest, OpKernelMapRevealsFanOut) {
-  Profiler Prof;
-  auto *Map = static_cast<OpKernelMapTool *>(
-      Prof.addToolByName("op_kernel_map"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  runWorkload(Config, Prof);
+  auto S = session("op_kernel_map", "resnet18");
+  S->run();
+  auto *Map = S->toolAs<OpKernelMapTool>("op_kernel_map");
 
   // batch_norm runs two kernels per invocation in training; in inference
   // it is one transform kernel. conv2d via im2col is >= 2.
@@ -115,13 +115,9 @@ TEST_F(ExtrasTest, OpKernelMapRevealsFanOut) {
 }
 
 TEST_F(ExtrasTest, OpKernelMapExecTimeSumsBelowTotal) {
-  Profiler Prof;
-  auto *Map = static_cast<OpKernelMapTool *>(
-      Prof.addToolByName("op_kernel_map"));
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 1;
-  WorkloadResult Result = runWorkload(Config, Prof);
+  auto S = session("op_kernel_map", "bert");
+  SessionResult Result = S->run();
+  auto *Map = S->toolAs<OpKernelMapTool>("op_kernel_map");
   SimTime Sum = 0;
   for (const auto &[Name, Profile] : Map->profiles())
     Sum += Profile.ExecTime;
@@ -134,14 +130,15 @@ TEST_F(ExtrasTest, OpKernelMapExecTimeSumsBelowTotal) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ExtrasTest, AdvisorPlanSeparatesPinAndEvict) {
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 1;
-  Config.Backend = TraceBackend::SanitizerGpu;
-  Config.RecordGranularityBytes = 65536;
-  runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.tool("hotness")
+      .backend("cs-gpu")
+      .model("bert")
+      .iterations(1)
+      .recordGranularity(65536);
+  auto S = buildSession(Builder);
+  S->run();
+  auto *Hot = S->toolAs<HotnessTool>("hotness");
 
   auto Plan = UvmAdvisor::planFromHotness(*Hot);
   ASSERT_FALSE(Plan.empty());
@@ -206,13 +203,9 @@ TEST_F(ExtrasTest, AdvisorPinsSurviveMemoryPressure) {
 #include "tools/TraceExportTool.h"
 
 TEST_F(ExtrasTest, ChromeTraceExportsBalancedEvents) {
-  Profiler Prof;
-  auto *Trace = static_cast<TraceExportTool *>(
-      Prof.addToolByName("chrome_trace"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  WorkloadResult Result = runWorkload(Config, Prof);
+  auto S = session("chrome_trace", "resnet18");
+  SessionResult Result = S->run();
+  auto *Trace = S->toolAs<TraceExportTool>("chrome_trace");
 
   std::string Json = Trace->toJson();
   ASSERT_GT(Trace->numEvents(), Result.ProgramKernels);

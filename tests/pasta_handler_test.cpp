@@ -23,11 +23,16 @@ using namespace pasta;
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — CollectTool exercises the
-// handler plumbing through the probe-based migration default.
 class CollectTool : public Tool {
 public:
   std::string name() const override { return "collect"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &E) override { Events.push_back(E); }
   std::vector<Event> Events;
 };

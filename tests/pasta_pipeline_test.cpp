@@ -35,15 +35,18 @@ using namespace pasta;
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — pipeline tests route through
-// the probe-based migration default on purpose (it is part of the
-// admission surface under test).
-
 /// Records every delivered event's payload (dispatch is single-threaded,
 /// so no locking needed inside the hooks).
 class CollectTool : public Tool {
 public:
   std::string name() const override { return "collect"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &E) override {
     Addresses.push_back(E.Address);
     Kinds.push_back(E.Kind);
@@ -57,6 +60,13 @@ public:
 class GateTool : public Tool {
 public:
   std::string name() const override { return "gate"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &) override {
     std::unique_lock<std::mutex> Lock(Mutex);
     Cv.wait(Lock, [this] { return Open; });
@@ -201,6 +211,13 @@ TEST(AsyncPipeline, QueuedKernelDescOutlivesProducerFrame) {
   class NameTool : public Tool {
   public:
     std::string name() const override { return "names"; }
+    Subscription subscription() override {
+      Subscription Sub;
+      Sub.Kinds = EventKindMask::all();
+      Sub.KernelTrace = true;
+      Sub.CapturesStacks = true;
+      return Sub;
+    }
     void onKernelLaunch(const Event &E) override {
       Names.push_back(E.Kernel ? E.Kernel->Name : "<null>");
     }
@@ -688,7 +705,7 @@ TEST(AsyncPipeline, SerialToolsKeepPinnedLaneOrderAcrossManyLanes) {
   // when other tools spread across many lanes.
   EventProcessor Processor(
       asyncOptions(128, OverflowPolicy::Block, 4, /*DispatchThreads=*/4));
-  CollectTool Serial; // default subscription: all kinds, Serial
+  CollectTool Serial; // all kinds, Serial
   ConcurrentCountTool Concurrent;
   Processor.addTool(&Serial);
   Processor.addTool(&Concurrent);

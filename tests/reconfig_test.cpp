@@ -49,14 +49,17 @@ using namespace pasta;
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — reconfiguration tests route
-// through the probe-based migration default on purpose (epoch swaps of
-// defaulted subscriptions are part of the surface under test).
-
 /// Serial recorder: delivery order *is* the assertion.
 class CollectTool : public Tool {
 public:
   std::string name() const override { return "collect"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &E) override { Addresses.push_back(E.Address); }
   std::vector<sim::DeviceAddr> Addresses;
 };
@@ -100,6 +103,13 @@ class ReentrantReconfigTool : public Tool {
 public:
   explicit ReentrantReconfigTool(EventProcessor &P) : Processor(P) {}
   std::string name() const override { return "reentrant"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onEvent(const Event &) override {
     AddRejected = !Processor.addTool(&Victim);
     RemoveRejected = !Processor.removeTool(this);

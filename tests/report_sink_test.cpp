@@ -161,11 +161,16 @@ TEST(TextReportSink, TextBodyMatchesHistoricalFormat) {
 }
 
 /// Tool that only implements the legacy writeReport.
-// pasta-lint: allow(tool-subscription) — being a bare legacy tool is
-// the point of this fixture.
 class LegacyTool : public Tool {
 public:
   std::string name() const override { return "legacy"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void writeReport(std::FILE *Out) override {
     std::fprintf(Out, "legacy report line\n");
   }

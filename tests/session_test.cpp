@@ -20,14 +20,18 @@ using namespace pasta;
 
 namespace {
 
-// pasta-lint: allow(tool-subscription) — probe-based capability
-// negotiation from overridden hooks is exactly what this suite tests.
-
 /// Consumes only coarse events — capability negotiation must keep every
 /// fine-grained instrumentation path disabled for it.
 class CoarseOnlyTool : public Tool {
 public:
   std::string name() const override { return "coarse_only"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onKernelLaunch(const Event &) override { ++KernelLaunches; }
 
   int KernelLaunches = 0;
@@ -37,6 +41,14 @@ public:
 class HostRecordsTool : public Tool {
 public:
   std::string name() const override { return "host_records"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = EventKindMask::all();
+    Sub.AccessRecords = true;
+    Sub.KernelTrace = true;
+    Sub.CapturesStacks = true;
+    return Sub;
+  }
   void onAccessBatch(const sim::LaunchInfo &, const sim::MemAccessRecord *,
                      std::size_t Count) override {
     Records += Count;
@@ -46,7 +58,7 @@ public:
 };
 
 //===----------------------------------------------------------------------===
-// Tool::requirements (the probe-based default)
+// Tool::requirements (derived from the declared subscription)
 //===----------------------------------------------------------------------===
 
 TEST(ToolRequirements, CoarseOnlyToolNeedsNoInstrumentation) {
@@ -55,7 +67,7 @@ TEST(ToolRequirements, CoarseOnlyToolNeedsNoInstrumentation) {
   EXPECT_TRUE(Req.has(Capability::CoarseEvents));
   EXPECT_FALSE(Req.has(Capability::AccessRecords));
   EXPECT_FALSE(Req.has(Capability::InstrMix));
-  // The probe ran the override with an empty batch — no state changed.
+  // Deriving requirements calls no hook — no state changed.
   EXPECT_EQ(T.KernelLaunches, 0);
 }
 
@@ -284,20 +296,6 @@ TEST(SessionNegotiation, UnsatisfiedRequirementIsReported) {
   EXPECT_TRUE(S->unsatisfied().has(Capability::InstrMix));
 }
 
-TEST(SessionNegotiation, NegotiationOffEnablesFullBackend) {
-  SessionError Err;
-  auto S = SessionBuilder()
-               .addTool(std::make_unique<CoarseOnlyTool>())
-               .backend("cs-gpu")
-               .model("bert")
-               .negotiate(false)
-               .build(Err);
-  ASSERT_NE(S, nullptr) << Err.message();
-  EXPECT_TRUE(S->negotiated().has(Capability::AccessRecords));
-  S->run();
-  EXPECT_GT(S->system().device(0).counters().SampledRecords, 0u);
-}
-
 //===----------------------------------------------------------------------===
 // Session end-to-end + lifecycle guards
 //===----------------------------------------------------------------------===
@@ -379,15 +377,16 @@ TEST(Session, FinishIsIdempotentAndReportsStaySafe) {
 }
 
 TEST(Profiler, FinishThenWriteReportsIsSafe) {
-  tools::registerBuiltinTools();
-  Profiler Prof;
-  Prof.addToolByName("kernel_frequency");
-  Prof.finish();
-  Prof.finish(); // double finish must be a no-op
+  SessionError Err;
+  auto S = SessionBuilder().build(Err);
+  ASSERT_NE(S, nullptr) << Err.message();
+  S->addToolByName("kernel_frequency");
+  S->finish();
+  S->finish(); // double finish must be a no-op
 
   // Reports remain writable after (repeated) finish.
   JsonReportSink Sink;
-  Prof.writeReports(Sink);
+  S->writeReports(Sink);
   EXPECT_NE(Sink.str().find("kernel_frequency"), std::string::npos);
 }
 

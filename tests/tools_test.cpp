@@ -4,20 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pasta/Profiler.h"
 #include "support/Env.h"
+#include "support/ReportSink.h"
+#include "tests/TestSession.h"
 #include "tools/ExtensionTools.h"
 #include "tools/HotnessTool.h"
 #include "tools/KernelFrequencyTool.h"
 #include "tools/MemUsageTimelineTool.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
-#include "tools/Workloads.h"
 
 #include <gtest/gtest.h>
 
 using namespace pasta;
 using namespace pasta::tools;
+using pasta::test::buildSession;
 
 namespace {
 
@@ -26,13 +27,29 @@ protected:
   void SetUp() override { registerBuiltinTools(); }
   void TearDown() override { clearAllEnvOverrides(); }
 
-  WorkloadConfig traceConfig(const char *Model = "resnet18") {
-    WorkloadConfig Config;
-    Config.Model = Model;
-    Config.Iterations = 1;
-    Config.Backend = TraceBackend::SanitizerGpu;
-    Config.RecordGranularityBytes = 32768;
-    return Config;
+  /// One traced iteration of \p Model on \p Backend, running
+  /// \p ToolName.
+  std::unique_ptr<Session> traceRun(const char *ToolName,
+                                    const char *Model = "resnet18",
+                                    const char *Backend = "cs-gpu") {
+    SessionBuilder Builder;
+    Builder.tool(ToolName)
+        .model(Model)
+        .iterations(1)
+        .backend(Backend)
+        .recordGranularity(32768);
+    std::unique_ptr<Session> S = buildSession(Builder);
+    S->run();
+    return S;
+  }
+
+  /// One untraced iteration of \p Model running \p ToolName.
+  std::unique_ptr<Session> run(const char *ToolName, const char *Model) {
+    SessionBuilder Builder;
+    std::unique_ptr<Session> S =
+        buildSession(Builder.tool(ToolName).model(Model).iterations(1));
+    S->run();
+    return S;
   }
 };
 
@@ -50,41 +67,37 @@ TEST_F(ToolsTest, RegistryHasAllBuiltins) {
   }
 }
 
-TEST_F(ToolsTest, DeclaredSubscriptionsNegotiateSameAsLegacyProbe) {
-  // Every registered tool now declares its subscription explicitly; the
-  // capability set derived from that declaration must equal what the
-  // legacy override-probing requirements() default would have
-  // negotiated, so sessions enable exactly the same instrumentation.
-  for (const std::string &Name :
-       ToolRegistry::instance().registeredNames()) {
-    std::unique_ptr<Tool> T = ToolRegistry::instance().create(Name);
-    ASSERT_NE(T, nullptr) << Name;
-    EXPECT_EQ(T->requirements().str(),
-              T->legacyProbeRequirements().str())
-        << Name;
-  }
-}
-
 TEST_F(ToolsTest, BuiltinToolsDeclareExpectedContracts) {
   struct Expectation {
     const char *Name;
     ExecutionModel Model;
     bool AllKinds;
+    /// What negotiation asks the backend for.
+    const char *Requirements;
   };
   // mem_usage_timeline is the sharded showcase (per-device state);
   // instruction_mix consumes no discrete events at all; the rest keep
-  // the serial contract — and none should fall back to the subscribe-
-  // to-everything migration default.
+  // the serial contract, and only the two stream tools (capture and
+  // forward) subscribe to every event kind.
   const Expectation Expectations[] = {
-      {"kernel_frequency", ExecutionModel::Serial, false},
-      {"working_set", ExecutionModel::Serial, false},
-      {"hotness", ExecutionModel::Serial, false},
-      {"mem_usage_timeline", ExecutionModel::ShardByDevice, false},
-      {"instruction_mix", ExecutionModel::Concurrent, false},
-      {"barrier_stall", ExecutionModel::Serial, false},
-      {"redundant_load", ExecutionModel::Serial, false},
-      {"op_kernel_map", ExecutionModel::Serial, false},
-      {"chrome_trace", ExecutionModel::Serial, false},
+      {"kernel_frequency", ExecutionModel::Serial, false, "coarse-events"},
+      {"working_set", ExecutionModel::Serial, false,
+       "coarse-events|access-records"},
+      {"hotness", ExecutionModel::Serial, false,
+       "coarse-events|access-records"},
+      {"mem_usage_timeline", ExecutionModel::ShardByDevice, false,
+       "coarse-events"},
+      {"instruction_mix", ExecutionModel::Concurrent, false,
+       "coarse-events|instr-mix"},
+      {"barrier_stall", ExecutionModel::Serial, false, "coarse-events"},
+      {"redundant_load", ExecutionModel::Serial, false,
+       "coarse-events|access-records"},
+      {"op_kernel_map", ExecutionModel::Serial, false, "coarse-events"},
+      {"chrome_trace", ExecutionModel::Serial, false, "coarse-events"},
+      {"working_set_host", ExecutionModel::Serial, false,
+       "coarse-events|access-records"},
+      {"trace_capture", ExecutionModel::Serial, true, "coarse-events"},
+      {"stream_forward", ExecutionModel::Serial, true, "coarse-events"},
   };
   for (const Expectation &Expected : Expectations) {
     std::unique_ptr<Tool> T = ToolRegistry::instance().create(Expected.Name);
@@ -93,17 +106,17 @@ TEST_F(ToolsTest, BuiltinToolsDeclareExpectedContracts) {
     EXPECT_EQ(Sub.Model, Expected.Model) << Expected.Name;
     EXPECT_EQ(Sub.Kinds == EventKindMask::all(), Expected.AllKinds)
         << Expected.Name;
+    EXPECT_EQ(T->requirements().str(), Expected.Requirements)
+        << Expected.Name;
   }
 }
 
 TEST_F(ToolsTest, KernelFrequencyCountsMatchProgram) {
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 2;
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  WorkloadResult Result = runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  auto S = buildSession(
+      Builder.tool("kernel_frequency").model("resnet18").iterations(2));
+  SessionResult Result = S->run();
+  auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
   EXPECT_EQ(Freq->totalLaunches(), Result.ProgramKernels);
   // A handful of kernels dominates (the Fig. 7 claim): the top entry
   // must repeat far more often than the mean.
@@ -116,20 +129,15 @@ TEST_F(ToolsTest, KernelFrequencyCountsMatchProgram) {
 
 TEST_F(ToolsTest, KernelFrequencyHottestStackViaKnob) {
   setEnvOverride("MAX_CALLED_KERNEL", "1");
-  Profiler Prof;
-  auto *Freq = static_cast<KernelFrequencyTool *>(
-      Prof.addToolByName("kernel_frequency"));
-  runWorkload(traceConfig(), Prof);
+  auto S = traceRun("kernel_frequency");
+  auto *Freq = S->toolAs<KernelFrequencyTool>("kernel_frequency");
   EXPECT_FALSE(Freq->hottestKernel().empty());
   EXPECT_FALSE(Freq->hottestKernelStack().Frames.empty());
 }
 
 TEST_F(ToolsTest, WorkingSetSmallerThanFootprint) {
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig(), Prof);
-  auto Summary = Ws->summary();
+  auto S = traceRun("working_set");
+  auto Summary = S->toolAs<WorkingSetTool>("working_set")->summary();
   EXPECT_GT(Summary.KernelCount, 0u);
   EXPECT_GT(Summary.WorkingSetBytes, 0u);
   EXPECT_LT(Summary.WorkingSetBytes, Summary.PeakFootprintBytes)
@@ -141,26 +149,21 @@ TEST_F(ToolsTest, WorkingSetSmallerThanFootprint) {
 TEST_F(ToolsTest, WorkingSetDeviceAndHostModesAgree) {
   // The GPU-resident reduction must produce the same analysis results as
   // the conventional host-side path — only the cost differs (Fig. 8).
-  auto RunMode = [&](TraceBackend Backend, const char *ToolName) {
-    Profiler Prof;
-    auto *Ws = static_cast<WorkingSetTool *>(Prof.addToolByName(ToolName));
-    WorkloadConfig Config = traceConfig();
-    Config.Backend = Backend;
-    runWorkload(Config, Prof);
-    return Ws->summary();
-  };
-  auto Gpu = RunMode(TraceBackend::SanitizerGpu, "working_set");
-  auto Host = RunMode(TraceBackend::SanitizerCpu, "working_set_host");
+  // Both variants report under the name "working_set".
+  auto Gpu = traceRun("working_set", "resnet18", "cs-gpu")
+                 ->toolAs<WorkingSetTool>("working_set")
+                 ->summary();
+  auto Host = traceRun("working_set_host", "resnet18", "cs-cpu")
+                  ->toolAs<WorkingSetTool>("working_set")
+                  ->summary();
   EXPECT_EQ(Gpu.KernelCount, Host.KernelCount);
   EXPECT_EQ(Gpu.WorkingSetBytes, Host.WorkingSetBytes);
   EXPECT_DOUBLE_EQ(Gpu.MedianWsBytes, Host.MedianWsBytes);
 }
 
 TEST_F(ToolsTest, WorkingSetPerKernelSpansLiveWithinFootprint) {
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig(), Prof);
+  auto S = traceRun("working_set");
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
   for (const auto &Kernel : Ws->kernels()) {
     std::uint64_t SpanSum = 0;
     for (const auto &[Base, Bytes] : Kernel.Spans)
@@ -171,21 +174,16 @@ TEST_F(ToolsTest, WorkingSetPerKernelSpansLiveWithinFootprint) {
 
 TEST_F(ToolsTest, WorkingSetMaxRefKnobCapturesStack) {
   setEnvOverride("MAX_MEM_REFERENCED_KERNEL", "1");
-  Profiler Prof;
-  auto *Ws =
-      static_cast<WorkingSetTool *>(Prof.addToolByName("working_set"));
-  runWorkload(traceConfig("bert"), Prof);
+  auto S = traceRun("working_set", "bert");
+  auto *Ws = S->toolAs<WorkingSetTool>("working_set");
   EXPECT_FALSE(Ws->maxReferencedKernel().empty());
   EXPECT_NE(Ws->maxReferencedStack().str().find("--- Python ---"),
             std::string::npos);
 }
 
 TEST_F(ToolsTest, HotnessSeparatesLongLivedFromBursty) {
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  WorkloadConfig Config = traceConfig("bert");
-  runWorkload(Config, Prof);
-  auto Profiles = Hot->profiles();
+  auto S = traceRun("hotness", "bert");
+  auto Profiles = S->toolAs<HotnessTool>("hotness")->profiles();
   ASSERT_GT(Profiles.size(), 10u);
   int LongLived = 0, Bursty = 0;
   for (const auto &Profile : Profiles)
@@ -197,9 +195,8 @@ TEST_F(ToolsTest, HotnessSeparatesLongLivedFromBursty) {
 }
 
 TEST_F(ToolsTest, HotnessHeatmapWindowsOrdered) {
-  Profiler Prof;
-  auto *Hot = static_cast<HotnessTool *>(Prof.addToolByName("hotness"));
-  runWorkload(traceConfig(), Prof);
+  auto S = traceRun("hotness");
+  auto *Hot = S->toolAs<HotnessTool>("hotness");
   EXPECT_GE(Hot->numWindows(), 2u);
   for (const auto &[Key, Count] : Hot->heatmap()) {
     EXPECT_LT(Key.second, Hot->numWindows());
@@ -210,14 +207,8 @@ TEST_F(ToolsTest, HotnessHeatmapWindowsOrdered) {
 }
 
 TEST_F(ToolsTest, TimelineTracksEveryTensorEvent) {
-  Profiler Prof;
-  auto *Timeline = static_cast<MemUsageTimelineTool *>(
-      Prof.addToolByName("mem_usage_timeline"));
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  WorkloadResult Result = runWorkload(Config, Prof);
-  (void)Result;
+  auto S = run("mem_usage_timeline", "resnet18");
+  auto *Timeline = S->toolAs<MemUsageTimelineTool>("mem_usage_timeline");
   const auto &Series = Timeline->series(0);
   ASSERT_FALSE(Series.empty());
   // Ramp-up/peak/ramp-down: the series must end near zero and peak in
@@ -227,28 +218,21 @@ TEST_F(ToolsTest, TimelineTracksEveryTensorEvent) {
 }
 
 TEST_F(ToolsTest, InstructionMixRequiresNvbit) {
-  auto Run = [&](TraceBackend Backend) {
-    Profiler Prof;
-    auto *Mix = static_cast<InstructionMixTool *>(
-        Prof.addToolByName("instruction_mix"));
-    WorkloadConfig Config = traceConfig();
-    Config.Backend = Backend;
-    runWorkload(Config, Prof);
-    return Mix->mixes().size();
+  auto Run = [&](const char *Backend) {
+    return traceRun("instruction_mix", "resnet18", Backend)
+        ->toolAs<InstructionMixTool>("instruction_mix")
+        ->mixes()
+        .size();
   };
-  EXPECT_EQ(Run(TraceBackend::SanitizerGpu), 0u)
+  EXPECT_EQ(Run("cs-gpu"), 0u)
       << "sanitizer cannot see the full instruction stream";
-  EXPECT_GT(Run(TraceBackend::NvbitCpu), 0u);
+  EXPECT_GT(Run("nvbit-cpu"), 0u);
 }
 
 TEST_F(ToolsTest, InstructionMixFractionsSane) {
-  Profiler Prof;
-  auto *Mix = static_cast<InstructionMixTool *>(
-      Prof.addToolByName("instruction_mix"));
-  WorkloadConfig Config = traceConfig();
-  Config.Backend = TraceBackend::NvbitCpu;
-  runWorkload(Config, Prof);
-  for (const auto &[Name, Entry] : Mix->mixes()) {
+  auto S = traceRun("instruction_mix", "resnet18", "nvbit-cpu");
+  for (const auto &[Name, Entry] :
+       S->toolAs<InstructionMixTool>("instruction_mix")->mixes()) {
     EXPECT_GT(Entry.Launches, 0u);
     EXPECT_GE(Entry.memoryFraction(), 0.0);
     EXPECT_LE(Entry.memoryFraction(), 1.0);
@@ -256,22 +240,15 @@ TEST_F(ToolsTest, InstructionMixFractionsSane) {
 }
 
 TEST_F(ToolsTest, BarrierStallAttributesToLayers) {
-  Profiler Prof;
-  auto *Stall = static_cast<BarrierStallTool *>(
-      Prof.addToolByName("barrier_stall"));
-  WorkloadConfig Config;
-  Config.Model = "bert";
-  Config.Iterations = 1;
-  runWorkload(Config, Prof);
+  auto S = run("barrier_stall", "bert");
+  auto *Stall = S->toolAs<BarrierStallTool>("barrier_stall");
   EXPECT_GT(Stall->totalStallNs(), 0u);
   EXPECT_GT(Stall->stallByLayer().size(), 5u);
 }
 
 TEST_F(ToolsTest, RedundantLoadDetectsGemmReuse) {
-  Profiler Prof;
-  auto *Redundant = static_cast<RedundantLoadTool *>(
-      Prof.addToolByName("redundant_load"));
-  runWorkload(traceConfig("bert"), Prof);
+  auto S = traceRun("redundant_load", "bert");
+  auto *Redundant = S->toolAs<RedundantLoadTool>("redundant_load");
   ASSERT_FALSE(Redundant->kernels().empty());
   // GEMMs re-read their tiles: at least one kernel must show substantial
   // redundancy, and fractions must stay in [0, 1].
@@ -284,47 +261,40 @@ TEST_F(ToolsTest, RedundantLoadDetectsGemmReuse) {
 }
 
 TEST_F(ToolsTest, PrefetcherCountsCalls) {
-  WorkloadConfig Config;
-  Config.Model = "resnet18";
-  Config.Iterations = 1;
-  Config.Managed = true;
-  Config.Prefetch = PrefetchLevel::Tensor;
-  Profiler Prof;
-  // runWorkload installs the prefetcher internally; verify it had an
-  // effect through the UVM counters.
-  WorkloadResult Result = runWorkload(Config, Prof);
+  SessionBuilder Builder;
+  Builder.model("resnet18")
+      .iterations(1)
+      .managed()
+      .prefetch(PrefetchLevel::Tensor);
+  // The session installs the prefetcher itself; verify it had an effect
+  // through the UVM counters.
+  SessionResult Result = buildSession(Builder)->run();
   EXPECT_GT(Result.Uvm.PrefetchedPages, 0u);
 }
 
 TEST_F(ToolsTest, PrefetchReducesFaults) {
   auto Faults = [&](PrefetchLevel Level) {
-    WorkloadConfig Config;
-    Config.Model = "resnet18";
-    Config.Iterations = 1;
-    Config.Managed = true;
-    Config.Prefetch = Level;
-    Profiler Prof;
-    return runWorkload(Config, Prof).Uvm.Faults;
+    SessionBuilder Builder;
+    Builder.model("resnet18").iterations(1).managed().prefetch(Level);
+    return buildSession(Builder)->run().Uvm.Faults;
   };
   EXPECT_LT(Faults(PrefetchLevel::Tensor), Faults(PrefetchLevel::None));
 }
 
-TEST_F(ToolsTest, ProfilerEnvToolSelection) {
-  setEnvOverride("PASTA_TOOL", "kernel_frequency");
-  Profiler Prof;
-  Tool *T = Prof.addToolFromEnv();
-  ASSERT_NE(T, nullptr);
-  EXPECT_EQ(T->name(), "kernel_frequency");
-}
-
 TEST_F(ToolsTest, WriteReportsProduceOutput) {
-  Profiler Prof;
-  Prof.addToolByName("kernel_frequency");
-  Prof.addToolByName("working_set");
-  runWorkload(traceConfig(), Prof);
+  SessionBuilder Builder;
+  Builder.tool("kernel_frequency")
+      .tool("working_set")
+      .model("resnet18")
+      .iterations(1)
+      .backend("cs-gpu")
+      .recordGranularity(32768);
+  auto S = buildSession(Builder);
+  S->run();
   std::FILE *Tmp = std::tmpfile();
   ASSERT_NE(Tmp, nullptr);
-  Prof.writeReports(Tmp);
+  TextReportSink Sink(Tmp);
+  S->writeReports(Sink);
   EXPECT_GT(std::ftell(Tmp), 100L);
   std::fclose(Tmp);
 }

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "pasta/EventProcessor.h"
-#include "pasta/Profiler.h"
 #include "pasta/Session.h"
 #include "pasta/Validate.h"
 #include "support/ReportSink.h"
@@ -146,14 +145,6 @@ TEST(Validate, EnabledByOptions) {
   Opts.Validate = true;
   EventProcessor P(Opts);
   EXPECT_NE(P.validator(), nullptr);
-}
-
-TEST(Validate, EnvKnobFlowsThroughFromEnv) {
-  ::setenv("PASTA_VALIDATE", "1", 1);
-  EXPECT_TRUE(ProfilerOptions::fromEnv().Processor.Validate);
-  ::setenv("PASTA_VALIDATE", "0", 1);
-  EXPECT_FALSE(ProfilerOptions::fromEnv().Processor.Validate);
-  ::unsetenv("PASTA_VALIDATE");
 }
 
 TEST(Validate, SessionBuilderKnobReachesProcessor) {
