@@ -11,6 +11,11 @@
 // mechanism behind Fig. 2b; the simulated costs of Fig. 9 are charged by
 // the device cost model independently.
 //
+// Two batch shapes over the same 64 objects: the interleaved arms change
+// object on every record, so every record pays a lookup; the *Runs arms
+// sweep one object at a time, as real traces do, so the reducers resolve
+// each run once.
+//
 //===----------------------------------------------------------------------===//
 
 #include "pasta/EventProcessor.h"
@@ -23,7 +28,13 @@ using namespace pasta::tools;
 
 namespace {
 
-/// Synthetic record batch spread over a fixed set of objects.
+constexpr std::size_t Objects = 64;
+constexpr std::uint64_t ObjectBytes = 1 << 20;
+constexpr sim::DeviceAddr FirstObject = 0x1000000;
+constexpr std::size_t BatchRecords = 1 << 18;
+
+/// Synthetic record batch spread over a fixed set of objects, changing
+/// object on every record: the worst case for run coalescing.
 std::vector<sim::MemAccessRecord> makeBatch(std::size_t Count) {
   std::vector<sim::MemAccessRecord> Records(Count);
   for (std::size_t I = 0; I < Count; ++I) {
@@ -35,18 +46,40 @@ std::vector<sim::MemAccessRecord> makeBatch(std::size_t Count) {
   return Records;
 }
 
-void BM_DeviceAnalysisWidth(benchmark::State &State) {
-  std::size_t Threads = static_cast<std::size_t>(State.range(0));
+/// Synthetic record batch over the same objects with the locality of a
+/// real trace: each object is swept in turn, the way
+/// Device::generateTrace sweeps a segment (a fixed stride, with a
+/// 32-byte-aligned offset inside each stride).
+std::vector<sim::MemAccessRecord> makeRunBatch(std::size_t Count) {
+  std::vector<sim::MemAccessRecord> Records(Count);
+  std::size_t PerObject = Count / Objects;
+  std::uint64_t Stride = ObjectBytes / PerObject;
+  for (std::size_t I = 0; I < Count; ++I) {
+    std::uint64_t Object = I / PerObject % Objects;
+    std::uint64_t Step = I % PerObject;
+    Records[I].Address = FirstObject + Object * ObjectBytes + Step * Stride +
+                         (I * 7919) % Stride / 32 * 32;
+    Records[I].Bytes = 32;
+    Records[I].Multiplicity = 128;
+  }
+  return Records;
+}
+
+/// Reduces \p Batch under one kernel launch, once per iteration, with
+/// a working_set tool in \p Mode on \p Threads device-analysis threads.
+void runAnalysis(benchmark::State &State, std::size_t Threads,
+                 WsAnalysisMode Mode,
+                 const std::vector<sim::MemAccessRecord> &Batch) {
   EventProcessor Processor(Threads);
-  WorkingSetTool Tool(WsAnalysisMode::DeviceResident);
+  WorkingSetTool Tool(Mode);
   Processor.addTool(&Tool);
 
-  // Register 64 fake objects so lookups succeed.
-  for (int I = 0; I < 64; ++I) {
+  // Register the objects so lookups succeed.
+  for (std::size_t I = 0; I < Objects; ++I) {
     Event Alloc;
     Alloc.Kind = EventKind::MemoryAlloc;
-    Alloc.Address = 0x1000000 + static_cast<sim::DeviceAddr>(I) * (1 << 20);
-    Alloc.Bytes = 1 << 20;
+    Alloc.Address = FirstObject + I * ObjectBytes;
+    Alloc.Bytes = ObjectBytes;
     Processor.process(Alloc);
   }
   Event Launch;
@@ -54,7 +87,6 @@ void BM_DeviceAnalysisWidth(benchmark::State &State) {
   Launch.GridId = 1;
   Processor.process(Launch);
 
-  auto Batch = makeBatch(1 << 18);
   sim::LaunchInfo Info;
   Info.GridId = 1;
   for (auto _ : State) {
@@ -65,36 +97,30 @@ void BM_DeviceAnalysisWidth(benchmark::State &State) {
       static_cast<std::int64_t>(State.iterations() * Batch.size()));
 }
 
-void BM_HostAnalysisBaseline(benchmark::State &State) {
-  EventProcessor Processor(1);
-  WorkingSetTool Tool(WsAnalysisMode::HostSide);
-  Processor.addTool(&Tool);
-  for (int I = 0; I < 64; ++I) {
-    Event Alloc;
-    Alloc.Kind = EventKind::MemoryAlloc;
-    Alloc.Address = 0x1000000 + static_cast<sim::DeviceAddr>(I) * (1 << 20);
-    Alloc.Bytes = 1 << 20;
-    Processor.process(Alloc);
-  }
-  Event Launch;
-  Launch.Kind = EventKind::KernelLaunch;
-  Launch.GridId = 1;
-  Processor.process(Launch);
+void BM_DeviceAnalysisWidth(benchmark::State &State) {
+  runAnalysis(State, static_cast<std::size_t>(State.range(0)),
+              WsAnalysisMode::DeviceResident, makeBatch(BatchRecords));
+}
 
-  auto Batch = makeBatch(1 << 18);
-  sim::LaunchInfo Info;
-  Info.GridId = 1;
-  for (auto _ : State) {
-    (void)_;
-    Processor.onAccessBatch(Info, Batch.data(), Batch.size());
-  }
-  State.SetItemsProcessed(
-      static_cast<std::int64_t>(State.iterations() * Batch.size()));
+void BM_HostAnalysisBaseline(benchmark::State &State) {
+  runAnalysis(State, 1, WsAnalysisMode::HostSide, makeBatch(BatchRecords));
+}
+
+void BM_DeviceAnalysisWidthRuns(benchmark::State &State) {
+  runAnalysis(State, static_cast<std::size_t>(State.range(0)),
+              WsAnalysisMode::DeviceResident, makeRunBatch(BatchRecords));
+}
+
+void BM_HostAnalysisRuns(benchmark::State &State) {
+  runAnalysis(State, 1, WsAnalysisMode::HostSide,
+              makeRunBatch(BatchRecords));
 }
 
 } // namespace
 
 BENCHMARK(BM_DeviceAnalysisWidth)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_HostAnalysisBaseline);
+BENCHMARK(BM_DeviceAnalysisWidthRuns)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_HostAnalysisRuns);
 
 BENCHMARK_MAIN();

@@ -386,10 +386,16 @@ void EventQueue::notifyDrainedIfIdle() {
 }
 
 void EventQueue::waitDrained() {
+  // Head before ConsumerIdle: dequeueBatch stores ConsumerIdle = false
+  // before it stores the Head that takes a batch, so a waiter that sees
+  // that Head also sees the consumer busy until the batch is
+  // dispatched. Loading ConsumerIdle first could pair an idle flag from
+  // before the take with the Head from after it, and return while the
+  // last batch is still being dispatched.
   auto DrainedNow = [&] {
-    return ConsumerIdle.load(std::memory_order_seq_cst) &&
-           Head.load(std::memory_order_seq_cst) ==
-               ticketOf(Tail.load(std::memory_order_seq_cst));
+    std::uint64_t Claimed = ticketOf(Tail.load(std::memory_order_seq_cst));
+    return Head.load(std::memory_order_seq_cst) == Claimed &&
+           ConsumerIdle.load(std::memory_order_seq_cst);
   };
   if (DrainedNow())
     return;

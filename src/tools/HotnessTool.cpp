@@ -39,12 +39,23 @@ void HotnessTool::Reducer::processRecords(const sim::LaunchInfo &Info,
                                           const sim::MemAccessRecord *Records,
                                           std::size_t Count) {
   (void)Info;
+  if (Count == 0)
+    return;
+  // One map update per run of records in the same block.
+  std::uint64_t BlockBytes = Parent.BlockBytes;
   std::unordered_map<sim::DeviceAddr, std::uint64_t> Local;
+  sim::DeviceAddr Block = Records[0].Address / BlockBytes * BlockBytes;
+  std::uint64_t RunSum = 0;
   for (std::size_t I = 0; I < Count; ++I) {
-    sim::DeviceAddr Block =
-        Records[I].Address / Parent.BlockBytes * Parent.BlockBytes;
-    Local[Block] += Records[I].Multiplicity;
+    sim::DeviceAddr Addr = Records[I].Address;
+    if (Addr - Block >= BlockBytes) {
+      Local[Block] += RunSum;
+      Block = Addr / BlockBytes * BlockBytes;
+      RunSum = 0;
+    }
+    RunSum += Records[I].Multiplicity;
   }
+  Local[Block] += RunSum;
   std::lock_guard<std::mutex> Lock(Parent.MergeMutex);
   for (const auto &[Block, Accesses] : Local)
     Parent.Heatmap[{Block, Parent.CurrentWindow}] += Accesses;

@@ -11,6 +11,10 @@
 /// bursty short-lived blocks (transient activations) are pro-active
 /// eviction candidates.
 ///
+/// The device-resident reducer sums each run of consecutive records in
+/// the same block before it touches its map, so a batch that sweeps a
+/// block costs one map update, with the same counts as per record.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PASTA_TOOLS_HOTNESSTOOL_H

@@ -13,6 +13,7 @@
 #include "support/Units.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -83,29 +84,50 @@ void WorkingSetTool::onKernelLaunch(const Event &E) {
   CurrentGridId = E.GridId;
 }
 
-std::pair<sim::DeviceAddr, std::uint64_t>
+WorkingSetTool::Resolution
 WorkingSetTool::lookupObject(sim::DeviceAddr Addr) const {
+  // The answer depends only on the interval at or below Addr, so it
+  // holds up to the next base (upper_bound's own result).
+  Resolution R{0, 0, std::numeric_limits<sim::DeviceAddr>::max()};
   for (const auto *Intervals : {&TensorIntervals, &AllocIntervals}) {
     auto It = Intervals->upper_bound(Addr);
+    if (It != Intervals->end())
+      R.Hi = std::min(R.Hi, It->first);
     if (It == Intervals->begin())
       continue;
     --It;
-    if (Addr < It->second.End)
-      return {It->first, It->second.End - It->first};
+    if (Addr < It->second.End) {
+      R.Base = It->first;
+      R.Lo = std::max(R.Lo, It->first);
+      R.Hi = std::min(R.Hi, It->second.End);
+      return R;
+    }
+    R.Lo = std::max({R.Lo, It->first, It->second.End});
   }
-  return {0, 0};
+  return R;
 }
 
 void WorkingSetTool::countChunk(
     const sim::MemAccessRecord *Records, std::size_t Count,
-    std::unordered_map<sim::DeviceAddr, std::uint64_t> &Local) const {
+    std::unordered_map<sim::DeviceAddr, std::uint64_t> &Counts) const {
+  // Starts empty (Lo == Hi), so the first record looks up.
+  Resolution Cached;
+  std::uint64_t RunSum = 0;
   for (std::size_t I = 0; I < Count; ++I) {
-    auto [Base, Bytes] = lookupObject(Records[I].Address);
-    (void)Bytes;
-    if (Base == 0)
-      continue;
-    Local[Base] += Records[I].Multiplicity;
+    sim::DeviceAddr Addr = Records[I].Address;
+    if (Addr - Cached.Lo >= Cached.Hi - Cached.Lo) {
+      Resolution Next = lookupObject(Addr);
+      if (Next.Base != Cached.Base) {
+        if (Cached.Base != 0)
+          Counts[Cached.Base] += RunSum;
+        RunSum = 0;
+      }
+      Cached = Next;
+    }
+    RunSum += Records[I].Multiplicity;
   }
+  if (Cached.Base != 0)
+    Counts[Cached.Base] += RunSum;
 }
 
 void WorkingSetTool::mergeCounts(
@@ -135,10 +157,7 @@ void WorkingSetTool::onAccessBatch(const sim::LaunchInfo &Info,
                                    std::size_t Count) {
   (void)Info;
   // Host-side model: a single thread walks every record.
-  std::unordered_map<sim::DeviceAddr, std::uint64_t> Local;
-  countChunk(Records, Count, Local);
-  for (const auto &[Base, CountVal] : Local)
-    CurrentCounts[Base] += CountVal;
+  countChunk(Records, Count, CurrentCounts);
 }
 
 void WorkingSetTool::onKernelTraceEnd(

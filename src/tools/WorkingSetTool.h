@@ -21,6 +21,13 @@
 /// the visibility gap the paper describes); raw vendor allocations are
 /// the fallback.
 ///
+/// Both variants resolve an address to its object once per *run* — a
+/// stretch of consecutive records that stays inside the address range
+/// over which the last lookup's answer provably holds — and add the
+/// run's summed multiplicity once. Record batches sweep one object at a
+/// time, so this skips almost every lookup, and the counts equal those
+/// of resolving each record on its own.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PASTA_TOOLS_WORKINGSETTOOL_H
@@ -125,14 +132,28 @@ private:
     WorkingSetTool &Parent;
   };
 
-  /// Finds the object interval containing \p Addr; returns (base, size)
-  /// or (0, 0). Tensor intervals win over raw allocations.
-  std::pair<sim::DeviceAddr, std::uint64_t>
-  lookupObject(sim::DeviceAddr Addr) const;
+  /// An address's object and the range [Lo, Hi) of addresses that
+  /// resolve to the same answer.
+  struct Resolution {
+    sim::DeviceAddr Base = 0; ///< 0: no object (or one based at 0)
+    sim::DeviceAddr Lo = 0;
+    sim::DeviceAddr Hi = 0;
+  };
 
-  /// Counts one chunk of records into \p Local.
+  /// Finds the object interval containing \p Addr: the interval with
+  /// the greatest base at or below \p Addr, if \p Addr is below its end.
+  /// Tensor intervals win over raw allocations. The range is where that
+  /// rule cannot change its answer: for a tensor hit, the tensor up to
+  /// the next tensor base; for a raw-allocation hit or a miss, the same
+  /// kind of range in the allocation map, clipped to the gap between
+  /// tensor intervals.
+  Resolution lookupObject(sim::DeviceAddr Addr) const;
+
+  /// Adds the records' multiplicities to their objects' counts in
+  /// \p Counts. Looks up only a record that leaves the last lookup's
+  /// range, and updates \p Counts once per change of object.
   void countChunk(const sim::MemAccessRecord *Records, std::size_t Count,
-                  std::unordered_map<sim::DeviceAddr, std::uint64_t> &Local)
+                  std::unordered_map<sim::DeviceAddr, std::uint64_t> &Counts)
       const;
 
   /// Merges a chunk-local map into the current kernel's map.

@@ -321,10 +321,19 @@ std::string traceHeader(const char *Version, const char *HeaderSize) {
   return Src;
 }
 
+/// A manifest path of the running test's own: CTest runs each test in
+/// its own process, in parallel, so a shared file lets one test's
+/// manifest appear in another's "missing manifest" case.
+std::string perTestPath(const char *Stem) {
+  return std::string(Stem) + "." +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".tmp";
+}
+
 class WireFormatTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    Ctx.ManifestPath = "lint_test_manifest.tmp";
+    Ctx.ManifestPath = perTestPath("lint_test_manifest");
   }
   void TearDown() override { std::remove(Ctx.ManifestPath.c_str()); }
   LintContext Ctx;
@@ -417,7 +426,7 @@ std::string streamHeader(const char *Version, const char *FrameHeaderSize) {
 class StreamEnvelopeRuleTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    Ctx.StreamManifestPath = "lint_test_stream_manifest.tmp";
+    Ctx.StreamManifestPath = perTestPath("lint_test_stream_manifest");
   }
   void TearDown() override {
     std::remove(Ctx.StreamManifestPath.c_str());

@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,23 @@ private:
   std::mutex Mutex;
   std::condition_variable Cv;
   bool Open = false;
+};
+
+/// Counts MemoryCopy deliveries on one serial lane; the producer reads
+/// the count after flush().
+class CopyCountTool : public Tool {
+public:
+  std::string name() const override { return "copy_count"; }
+  Subscription subscription() override {
+    Subscription Sub;
+    Sub.Kinds = {EventKind::MemoryCopy};
+    Sub.Model = ExecutionModel::Serial;
+    return Sub;
+  }
+  void onMemoryCopy(const Event &) override {
+    Copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> Copies{0};
 };
 
 Event allocEvent(sim::DeviceAddr Address) {
@@ -155,6 +173,28 @@ TEST(AsyncPipeline, DeliversEverythingAfterFlush) {
   EXPECT_EQ(Stats.EventsSampledOut, 0u);
   EXPECT_GT(Stats.MaxQueueDepth, 0u);
   EXPECT_LE(Stats.MaxQueueDepth, 64u);
+}
+
+TEST(AsyncPipeline, FlushWaitsForTheLastEventOfEveryBurst) {
+  // flush() must not return while the lane still dispatches the last
+  // event it took. Many short bursts, each followed by a flush, give a
+  // barrier that can return one event early many chances to show it.
+  EventProcessor Processor(asyncOptions(64, OverflowPolicy::Block));
+  CopyCountTool Tool;
+  Processor.addTool(&Tool);
+
+  std::mt19937 Rng(20);
+  std::uniform_int_distribution<int> BurstSize(4, 16);
+  std::uint64_t Sent = 0;
+  std::uint64_t LateRounds = 0;
+  for (int Round = 0; Round < 20000; ++Round) {
+    for (int I = BurstSize(Rng); I > 0; --I)
+      Processor.process(copyEvent(Sent++));
+    Processor.flush();
+    if (Tool.Copies.load(std::memory_order_relaxed) != Sent)
+      ++LateRounds;
+  }
+  EXPECT_EQ(LateRounds, 0u) << "flush() returned before delivery";
 }
 
 TEST(AsyncPipeline, PerProducerOrderIsPreserved) {

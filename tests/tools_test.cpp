@@ -4,8 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "pasta/EventProcessor.h"
 #include "support/Env.h"
 #include "support/ReportSink.h"
+#include "support/Units.h"
 #include "tests/TestSession.h"
 #include "tools/ExtensionTools.h"
 #include "tools/HotnessTool.h"
@@ -15,6 +17,10 @@
 #include "tools/WorkingSetTool.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <random>
+#include <vector>
 
 using namespace pasta;
 using namespace pasta::tools;
@@ -203,6 +209,290 @@ TEST_F(ToolsTest, HotnessHeatmapWindowsOrdered) {
     EXPECT_GT(Count, 0u);
     EXPECT_EQ(Key.first % Hot->blockBytes(), 0u)
         << "block addresses must be block-aligned";
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Run-coalesced record reducers against a per-record reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr std::uint64_t HotBlock = 2 * MiB;
+
+/// Brute-force model of working_set and hotness: resolves every record
+/// on its own. An address belongs to the interval with the greatest base
+/// at or below it if it lies below that interval's end; tensors are
+/// tried before raw allocations, and an object based at 0 is not
+/// counted. Sizes share one base-keyed map, as in the tool.
+class PerRecordReference {
+public:
+  explicit PerRecordReference(std::uint32_t WindowKernels)
+      : WindowKernels(WindowKernels) {}
+
+  void apply(const Event &E) {
+    switch (E.Kind) {
+    case EventKind::MemoryAlloc:
+      AllocEnds[E.Address] = E.Address + E.Bytes;
+      Sizes[E.Address] = E.Bytes;
+      break;
+    case EventKind::MemoryFree:
+      if (AllocEnds.erase(E.Address))
+        Sizes.erase(E.Address);
+      break;
+    case EventKind::TensorAlloc:
+      if (E.Address != 0 && E.Bytes != 0) {
+        TensorEnds[E.Address] = E.Address + E.Bytes;
+        Sizes[E.Address] = E.Bytes;
+      }
+      break;
+    case EventKind::TensorReclaim:
+      if (TensorEnds.erase(E.Address))
+        Sizes.erase(E.Address);
+      break;
+    case EventKind::KernelLaunch:
+      Counts.clear();
+      Window = Launches++ / WindowKernels;
+      break;
+    default:
+      break;
+    }
+  }
+
+  void records(const std::vector<sim::MemAccessRecord> &Batch) {
+    for (const sim::MemAccessRecord &R : Batch) {
+      Heatmap[{R.Address / HotBlock * HotBlock, Window}] += R.Multiplicity;
+      if (sim::DeviceAddr Base = resolve(R.Address))
+        Counts[Base] += R.Multiplicity;
+    }
+  }
+
+  void kernelEnd() {
+    WorkingSetTool::KernelRecord K;
+    for (const auto &[Base, Count] : Counts) {
+      auto It = Sizes.find(Base);
+      std::uint64_t Bytes = It == Sizes.end() ? 0 : It->second;
+      K.FootprintBytes += Bytes;
+      K.References += Count;
+      K.Spans.emplace_back(Base, Bytes);
+    }
+    Counts.clear();
+    Kernels.push_back(std::move(K));
+  }
+
+  std::vector<WorkingSetTool::KernelRecord> Kernels;
+  std::map<std::pair<sim::DeviceAddr, std::uint32_t>, std::uint64_t> Heatmap;
+
+private:
+  sim::DeviceAddr resolve(sim::DeviceAddr Addr) const {
+    for (const auto *Ends : {&TensorEnds, &AllocEnds}) {
+      auto It = Ends->upper_bound(Addr);
+      if (It != Ends->begin() && Addr < std::prev(It)->second)
+        return std::prev(It)->first;
+    }
+    return 0;
+  }
+
+  std::uint32_t WindowKernels;
+  std::uint32_t Launches = 0;
+  std::uint32_t Window = 0;
+  std::map<sim::DeviceAddr, sim::DeviceAddr> TensorEnds;
+  std::map<sim::DeviceAddr, sim::DeviceAddr> AllocEnds;
+  std::map<sim::DeviceAddr, std::uint64_t> Sizes;
+  std::map<sim::DeviceAddr, std::uint64_t> Counts;
+};
+
+Event objectEvent(EventKind Kind, sim::DeviceAddr Address,
+                  std::uint64_t Bytes) {
+  Event E;
+  E.Kind = Kind;
+  E.Address = Address;
+  E.Bytes = Bytes;
+  return E;
+}
+
+// Object layout. Block 0 holds a raw allocation at address 0 (never
+// counted by working_set) and one right after it. A pool segment holds a
+// tensor at its own base, a tensor with another nested inside it, and a
+// tensor that is freed and allocated again at the same base with another
+// size; the rest of the segment is outside every tensor. Two adjacent
+// raw allocations are followed by a gap, then one more allocation.
+constexpr sim::DeviceAddr Pool = 4 * MiB;
+constexpr sim::DeviceAddr PoolBytes = 8 * MiB;
+constexpr sim::DeviceAddr Outer = 6 * MiB;
+constexpr sim::DeviceAddr Inner = Outer + MiB / 2;
+constexpr sim::DeviceAddr Reused = 9 * MiB;
+constexpr sim::DeviceAddr AllocA = 16 * MiB;
+constexpr sim::DeviceAddr AllocB = AllocA + MiB;
+constexpr sim::DeviceAddr AllocC = 18 * MiB;
+constexpr sim::DeviceAddr Unmapped = sim::DeviceAddr{0x7f} << 40;
+
+/// Address ranges the generated records sweep; several cross an object
+/// edge or lie partly or wholly outside every object.
+const std::vector<std::pair<sim::DeviceAddr, sim::DeviceAddr>> SweepRanges = {
+    {0, 2 * MiB},
+    {Pool, Pool + MiB},
+    {Outer, Outer + 2 * MiB},
+    {Inner, Inner + MiB / 4},
+    {Reused, Reused + MiB},
+    {Pool + 6 * MiB, Pool + PoolBytes},
+    {Pool + 7 * MiB, Pool + PoolBytes + MiB},
+    {AllocB - MiB / 16, AllocB + MiB},
+    {AllocC, AllocC + MiB / 4},
+    {Unmapped, Unmapped + 4 * MiB},
+};
+
+/// Seeded record batches in the three shapes that matter to a
+/// run-coalescing reducer: sweeps (long runs, as the device generator
+/// emits them), a different range on every record, and unmapped
+/// addresses. Multiplicities are random; one segment in eight has
+/// multiplicity 0 throughout, which still makes its objects touched.
+class BatchGenerator {
+public:
+  explicit BatchGenerator(std::uint64_t Seed) : Rng(Seed) {}
+
+  std::vector<sim::MemAccessRecord> next() {
+    std::vector<sim::MemAccessRecord> Batch;
+    for (int Segments = pick(1, 6); Segments > 0; --Segments) {
+      std::size_t Records = static_cast<std::size_t>(pick(1, 700));
+      ZeroSegment = pick(0, 7) == 0;
+      switch (pick(0, 3)) {
+      case 0: { // interleaved: a different range on every record
+        std::size_t First = static_cast<std::size_t>(pick(0, 9));
+        for (std::size_t I = 0; I < Records; ++I) {
+          const auto &[Lo, Hi] =
+              SweepRanges[(First + I) % SweepRanges.size()];
+          push(Batch, Lo + offset(Hi - Lo));
+        }
+        break;
+      }
+      case 1: // unmapped
+        for (std::size_t I = 0; I < Records; ++I)
+          push(Batch, Unmapped + offset(4096 * MiB));
+        break;
+      default: { // a sweep, as Device::generateTrace emits a segment
+        const auto &[Lo, Hi] = SweepRanges[static_cast<std::size_t>(
+            pick(0, static_cast<int>(SweepRanges.size()) - 1))];
+        sim::DeviceAddr Stride = std::max<sim::DeviceAddr>(
+            32, (Hi - Lo) / Records / 32 * 32);
+        for (std::size_t I = 0; I < Records; ++I)
+          push(Batch, Lo + I * Stride + offset(Stride));
+        break;
+      }
+      }
+    }
+    return Batch;
+  }
+
+  int pick(int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  }
+
+private:
+  sim::DeviceAddr offset(sim::DeviceAddr Span) {
+    return std::uniform_int_distribution<sim::DeviceAddr>(0, Span - 1)(Rng) /
+           32 * 32;
+  }
+
+  void push(std::vector<sim::MemAccessRecord> &Batch, sim::DeviceAddr Addr) {
+    sim::MemAccessRecord R;
+    R.Address = Addr;
+    R.Bytes = 32;
+    R.Multiplicity = ZeroSegment ? 0 : static_cast<std::uint32_t>(pick(1, 256));
+    Batch.push_back(R);
+  }
+
+  std::mt19937_64 Rng;
+  bool ZeroSegment = false;
+};
+
+void expectSameKernels(const std::vector<WorkingSetTool::KernelRecord> &Got,
+                       const std::vector<WorkingSetTool::KernelRecord> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (std::size_t I = 0; I < Got.size(); ++I) {
+    SCOPED_TRACE("kernel " + std::to_string(I));
+    EXPECT_EQ(Got[I].FootprintBytes, Want[I].FootprintBytes);
+    EXPECT_EQ(Got[I].References, Want[I].References);
+    EXPECT_EQ(Got[I].Spans, Want[I].Spans);
+  }
+}
+
+} // namespace
+
+TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
+  // Both working_set modes and hotness count each run of records once;
+  // their results must equal a reference that resolves every record.
+  // Three analysis threads split batches at chunk edges, which also
+  // splits runs.
+  for (std::uint64_t Seed : {1u, 2u, 3u}) {
+    for (std::size_t Threads : {1u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(Seed) + ", " +
+                   std::to_string(Threads) + " analysis threads");
+      EventProcessor Processor(Threads);
+      WorkingSetTool Device(WsAnalysisMode::DeviceResident);
+      WorkingSetTool Host(WsAnalysisMode::HostSide);
+      HotnessTool Hot;
+      Hot.setWindowKernels(2);
+      Processor.addTool(&Device);
+      Processor.addTool(&Host);
+      Processor.addTool(&Hot);
+      PerRecordReference Reference(2);
+      auto Send = [&](const Event &E) {
+        Processor.process(E);
+        Reference.apply(E);
+      };
+      // Reallocates the reused tensor at its base with another size.
+      std::uint64_t ReusedBytes = MiB / 2;
+      auto Reallocate = [&] {
+        Send(objectEvent(EventKind::TensorReclaim, Reused, ReusedBytes));
+        ReusedBytes = ReusedBytes == MiB / 2 ? MiB : MiB / 2;
+        Send(objectEvent(EventKind::TensorAlloc, Reused, ReusedBytes));
+      };
+
+      Send(objectEvent(EventKind::MemoryAlloc, 0, MiB));
+      Send(objectEvent(EventKind::MemoryAlloc, MiB, MiB));
+      Send(objectEvent(EventKind::MemoryAlloc, Pool, PoolBytes));
+      Send(objectEvent(EventKind::TensorAlloc, Pool, MiB));
+      Send(objectEvent(EventKind::TensorAlloc, Outer, 2 * MiB));
+      Send(objectEvent(EventKind::TensorAlloc, Inner, MiB / 4));
+      Send(objectEvent(EventKind::TensorAlloc, Reused, ReusedBytes));
+      Send(objectEvent(EventKind::MemoryAlloc, AllocA, MiB));
+      Send(objectEvent(EventKind::MemoryAlloc, AllocB, MiB / 2));
+      Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 4));
+
+      BatchGenerator Gen(Seed);
+      for (std::uint64_t Grid = 1; Grid <= 12; ++Grid) {
+        if (Grid % 4 == 0) {
+          Send(objectEvent(EventKind::MemoryFree, AllocC, MiB / 4));
+          Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 8));
+        }
+        Event Launch;
+        Launch.Kind = EventKind::KernelLaunch;
+        Launch.GridId = Grid;
+        Send(Launch);
+        sim::LaunchInfo Info;
+        Info.GridId = Grid;
+        for (int Batches = Gen.pick(1, 3); Batches > 0; --Batches) {
+          std::vector<sim::MemAccessRecord> Batch = Gen.next();
+          Processor.onAccessBatch(Info, Batch.data(), Batch.size());
+          Reference.records(Batch);
+          Reallocate(); // between two batches of one kernel
+        }
+        Processor.onKernelEnd(Info, sim::TraceTimeBreakdown{});
+        Reference.kernelEnd();
+      }
+
+      ASSERT_GT(Reference.Heatmap.count({0, 0}), 0u) << "block 0 unused";
+      {
+        SCOPED_TRACE("working_set (GPU-resident)");
+        expectSameKernels(Device.kernels(), Reference.Kernels);
+      }
+      {
+        SCOPED_TRACE("working_set (host-side)");
+        expectSameKernels(Host.kernels(), Reference.Kernels);
+      }
+      EXPECT_EQ(Hot.heatmap(), Reference.Heatmap);
+    }
   }
 }
 
