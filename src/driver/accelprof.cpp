@@ -28,7 +28,6 @@
 //       accelprof -t working_set -b replay --trace run.trace
 //       accelprof --serve /tmp/pasta.sock --report-dir reports &
 //       accelprof --connect /tmp/pasta.sock --tenant team-a bert
-//       accelprof -t kernel_frequency --async --lanes-auto --max-lanes 8 bert
 //       accelprof --control /tmp/pasta.sock attach-tool team-a working_set
 //
 // <model> is a Table IV zoo entry (alexnet, resnet18, resnet34, gpt2,
@@ -62,7 +61,8 @@ namespace {
 int usage(const char *Argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [-v] -t <tool> [-b cs-gpu|cs-cpu|nvbit-cpu|none|replay]\n"
+      "usage: %s [-v] -t <tool>\n"
+      "          [-b|--backend cs-gpu|cs-cpu|nvbit-cpu|none|replay]\n"
       "          [-g A100|RTX3060|MI300X] [--train] [--iters N]\n"
       "          [--managed] [--oversub F] [--prefetch none|object|tensor]\n"
       "          [--granularity BYTES] [--sample-rate R]\n"
@@ -70,7 +70,6 @@ int usage(const char *Argv0) {
       "          [--async] [--queue-depth N]\n"
       "          [--overflow block|drop|sample[:N]]\n"
       "          [--dispatch-threads N] [--arena-shards N]\n"
-      "          [--lanes-auto] [--min-lanes N] [--max-lanes N]\n"
       "          [--arena-max-bytes BYTES] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
@@ -84,8 +83,7 @@ int usage(const char *Argv0) {
       "          [--quota-bytes-per-sec R] [--quota-policy throttle|shed]\n"
       "       %s --control SOCKET <verb> [args...]\n"
       "          (verbs: attach-tool <tenant> <tool>,\n"
-      "           detach-tool <tenant> <tool>, set-lanes <tenant> <n>,\n"
-      "           list-tenants)\n"
+      "           detach-tool <tenant> <tool>, list-tenants)\n"
       "       %s --list-tools | --list-backends\n"
       "\n"
       "Every knob (flags, PASTA_* environment variables, SessionBuilder\n"
@@ -296,9 +294,9 @@ int main(int Argc, char **Argv) {
       Builder.spillMaxBytes(Bytes);
       Builder.reconnect();
     } else if (Arg == "--lanes") {
-      // Serve mode: tenant sessions dispatch on N lanes (enables the
-      // set-lanes control verb). Client mode: same as --dispatch-threads
-      // would be, a fixed lane count on the async pipeline.
+      // Serve mode: tenant sessions dispatch on N lanes. Client mode:
+      // same as --dispatch-threads, a fixed lane count on the async
+      // pipeline.
       long long N = std::atoll(NextValue("--lanes"));
       if (N <= 0 || N > 64) {
         std::fprintf(stderr, "error: --lanes must be in [1, 64]\n");
@@ -422,32 +420,6 @@ int main(int Argc, char **Argv) {
       // The arena only runs on the async admission path; imply --async
       // like the other queue knobs.
       Builder.arenaShards(static_cast<std::size_t>(Shards));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--lanes-auto") {
-      // Lane auto-scaling only means something on the async dispatch
-      // unit; imply --async like the other lane knobs.
-      Builder.lanesAuto();
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--min-lanes") {
-      long long Lanes = std::atoll(NextValue("--min-lanes"));
-      if (Lanes <= 0 || Lanes > 64) {
-        std::fprintf(stderr, "error: --min-lanes must be in [1, 64]\n");
-        return 2;
-      }
-      Builder.minLanes(static_cast<std::size_t>(Lanes));
-      Builder.lanesAuto();
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--max-lanes") {
-      long long Lanes = std::atoll(NextValue("--max-lanes"));
-      if (Lanes <= 0 || Lanes > 64) {
-        std::fprintf(stderr, "error: --max-lanes must be in [1, 64]\n");
-        return 2;
-      }
-      Builder.maxLanes(static_cast<std::size_t>(Lanes));
-      Builder.lanesAuto();
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--arena-max-bytes") {

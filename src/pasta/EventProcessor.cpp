@@ -24,7 +24,6 @@
 #include "support/ReportSink.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <utility>
 
@@ -50,6 +49,12 @@ struct AdmissionTag {
   int Depth = 0;
 };
 thread_local AdmissionTag CurrentAdmission;
+
+ProcessorOptions withAnalysisThreads(std::size_t Threads) {
+  ProcessorOptions Opts;
+  Opts.AnalysisThreads = Threads;
+  return Opts;
+}
 
 EventArenaOptions arenaOptionsOf(const ProcessorOptions &Opts) {
   EventArenaOptions ArenaOpts;
@@ -128,14 +133,7 @@ bool EventProcessor::inDispatchContext() const {
 }
 
 EventProcessor::EventProcessor(std::size_t DeviceAnalysisThreads)
-    : AnalysisThreads(DeviceAnalysisThreads) {
-  if (ProcessorOptions().Validate) {
-    Val = std::make_unique<Validator>();
-    Arena.setValidator(Val.get());
-  }
-  Tables.push_back(buildTable(1));
-  Epoch.publish(Tables.back().get());
-}
+    : EventProcessor(withAnalysisThreads(DeviceAnalysisThreads)) {}
 
 EventProcessor::EventProcessor(const ProcessorOptions &Opts)
     : Arena(arenaOptionsOf(Opts)), AnalysisThreads(Opts.AnalysisThreads) {
@@ -143,56 +141,26 @@ EventProcessor::EventProcessor(const ProcessorOptions &Opts)
     Val = std::make_unique<Validator>();
     Arena.setValidator(Val.get());
   }
-  std::size_t Requested = std::min<std::size_t>(
-      std::max<std::size_t>(Opts.DispatchThreads, 1), 64);
-  std::size_t Active = Requested;
-  std::size_t Constructed = Requested;
-  if (Opts.AsyncEvents && Opts.LanesAuto) {
-    MinLanesEff =
-        Opts.MinLanes ? std::min<std::size_t>(Opts.MinLanes, 64) : 1;
-    MaxLanesEff = Opts.MaxLanes
-                      ? std::min<std::size_t>(Opts.MaxLanes, 64)
-                      : std::min<std::size_t>(
-                            std::max<std::size_t>(Requested, 4), 64);
-    if (MaxLanesEff < MinLanesEff)
-      MaxLanesEff = MinLanesEff;
-    Constructed = MaxLanesEff;
-    Active = std::min(std::max(Requested, MinLanesEff), MaxLanesEff);
-    ControllerIntervalMs =
-        std::max<std::size_t>(Opts.LanesAutoIntervalMs, 1);
-  } else {
-    MinLanesEff = MaxLanesEff = Requested;
-  }
   if (Opts.AsyncEvents) {
-    // The lane vector is sized once, to the scaling ceiling: inactive
-    // lanes park cheaply on their empty rings, and a fixed vector means
-    // stats()/laneStats()/callStacks() never race a reallocation.
-    for (std::size_t I = 0; I < Constructed; ++I) {
+    // Sized once: a fixed lane vector means stats()/laneStats()/
+    // callStacks() never race a reallocation.
+    std::size_t LaneCount = std::min<std::size_t>(
+        std::max<std::size_t>(Opts.DispatchThreads, 1), 64);
+    for (std::size_t I = 0; I < LaneCount; ++I) {
       auto L = std::make_unique<Lane>();
       L->Queue = std::make_unique<EventQueue>(
           std::max<std::size_t>(Opts.QueueDepth, 1), Opts.Overflow,
-          std::max<std::uint64_t>(Opts.SampleEveryN, 1),
-          Opts.QueueSpinIterations);
+          std::max<std::uint64_t>(Opts.SampleEveryN, 1));
       Lanes.push_back(std::move(L));
     }
   }
-  Tables.push_back(buildTable(Active));
+  Tables.push_back(buildTable());
   Epoch.publish(Tables.back().get());
   for (std::size_t I = 0; I < Lanes.size(); ++I)
     Lanes[I]->Thread = std::thread([this, I] { laneLoop(I); });
-  if (Opts.AsyncEvents && Opts.LanesAuto)
-    Controller = std::thread([this] { controllerLoop(); });
 }
 
 EventProcessor::~EventProcessor() {
-  if (Controller.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(ControllerMutex);
-      ControllerStop = true;
-    }
-    ControllerCv.notify_all();
-    Controller.join();
-  }
   for (auto &L : Lanes)
     L->Queue->close();
   for (auto &L : Lanes)
@@ -211,7 +179,7 @@ bool EventProcessor::addTool(Tool *T) {
   {
     std::lock_guard<std::mutex> Lock(AttachMutex);
     Tools.push_back(T);
-    swapTable(Epoch.current()->ActiveLanes);
+    swapTable();
   }
   T->onAttach(*this);
   return true;
@@ -229,7 +197,7 @@ bool EventProcessor::removeTool(Tool *T) {
   if (It == Tools.end())
     return false;
   Tools.erase(It);
-  swapTable(Epoch.current()->ActiveLanes);
+  swapTable();
   return true;
 }
 
@@ -241,29 +209,8 @@ bool EventProcessor::clearTools() {
   }
   std::lock_guard<std::mutex> Lock(AttachMutex);
   Tools.clear();
-  swapTable(Epoch.current()->ActiveLanes);
+  swapTable();
   return true;
-}
-
-bool EventProcessor::setLaneCount(std::size_t Count) {
-  if (Lanes.empty())
-    return false;
-  if (inDispatchContext()) {
-    logWarning("EventProcessor: setLaneCount() called from a "
-               "dispatch-lane thread or a tool hook; rejected");
-    return false;
-  }
-  if (Count == 0 || Count > Lanes.size())
-    return false;
-  std::lock_guard<std::mutex> Lock(AttachMutex);
-  if (Count == Epoch.current()->ActiveLanes)
-    return true;
-  swapTable(Count);
-  return true;
-}
-
-std::size_t EventProcessor::laneCount() const {
-  return Lanes.empty() ? 0 : Epoch.current()->ActiveLanes;
 }
 
 std::optional<Subscription>
@@ -275,21 +222,16 @@ EventProcessor::subscriptionOf(const Tool *T) const {
   return std::nullopt;
 }
 
-std::unique_ptr<RoutingTable>
-EventProcessor::buildTable(std::size_t ActiveLanes) {
+std::unique_ptr<RoutingTable> EventProcessor::buildTable() {
   auto Table = std::make_unique<RoutingTable>();
   Table->Epoch = Tables.size();
-  Table->ActiveLanes =
-      Lanes.empty()
-          ? 1
-          : std::min(std::max<std::size_t>(ActiveLanes, 1), Lanes.size());
-  const std::size_t LaneCount = Table->ActiveLanes;
+  const std::size_t LaneCount = std::max<std::size_t>(Lanes.size(), 1);
 
-  // Serial tools are pinned round-robin across the *active* lanes in
-  // attach order — recomputed per table, so a session that reaches a
-  // tool set through any sequence of reconfigurations pins exactly like
-  // a session built with that set from the start. Sharded and
-  // concurrent tools float to each event's home lane.
+  // Serial tools are pinned round-robin across the lanes in attach
+  // order — recomputed per table, so a session that reaches a tool set
+  // through any sequence of reconfigurations pins exactly like a
+  // session built with that set from the start. Sharded and concurrent
+  // tools float to each event's home lane.
   std::size_t NextSerialLane = 0;
   Table->Entries.reserve(Tools.size());
   for (Tool *T : Tools) {
@@ -329,7 +271,7 @@ EventProcessor::buildTable(std::size_t ActiveLanes) {
   return Table;
 }
 
-void EventProcessor::swapTable(std::size_t ActiveLanes) {
+void EventProcessor::swapTable() {
   // Engage the gate. seq_cst on both sides of the handshake: a producer
   // that missed this store is visible in its stripe counter; a producer
   // that saw it has backed out or never entered.
@@ -359,7 +301,7 @@ void EventProcessor::swapTable(std::size_t ActiveLanes) {
     }
   }
 
-  std::unique_ptr<RoutingTable> Table = buildTable(ActiveLanes);
+  std::unique_ptr<RoutingTable> Table = buildTable();
 
   // Mirror the new contracts into the validator. Tools that survive
   // the swap keep their state (a changed pinned lane is counted as a
@@ -373,9 +315,8 @@ void EventProcessor::swapTable(std::size_t ActiveLanes) {
   }
 
   // Seed every lane's stack context from the admission-time shared
-  // context, so a lane activated (or newly targeted) by this epoch
-  // resolves the same Python stack a from-start pipeline would have
-  // routed to it.
+  // context, so a lane newly targeted by this epoch resolves the same
+  // Python stack a from-start pipeline would have routed to it.
   PayloadStack Context = SharedStacks.pythonStack();
   for (auto &L : Lanes)
     L->Stacks.setPythonStack(Context);
@@ -465,7 +406,7 @@ void EventProcessor::process(Event E) {
   const KindRoute &Route = Table.Routes[static_cast<std::size_t>(E.Kind)];
   std::uint64_t LaneMask = Route.PinnedLaneMask;
   if (!Route.Floating.empty())
-    LaneMask |= std::uint64_t(1) << homeLane(E, Table);
+    LaneMask |= std::uint64_t(1) << homeLane(E);
   // Python-context updates ride only to the lanes hosting tools that
   // declared CapturesStacks — their builders must stay consistent with
   // their own event order; every other lane's builder is unreachable
@@ -478,7 +419,7 @@ void EventProcessor::process(Event E) {
         eventAdmissionClass(E.Kind) != AdmissionClass::Standard;
     std::size_t Last = 0;
     std::size_t Fanout = 0;
-    for (std::size_t L = 0; L < Table.ActiveLanes; ++L)
+    for (std::size_t L = 0; L < Lanes.size(); ++L)
       if (LaneMask & (std::uint64_t(1) << L)) {
         Last = L;
         ++Fanout;
@@ -499,7 +440,7 @@ void EventProcessor::process(Event E) {
     if (!DeferIntern)
       Arena.intern(E);
     EventArena *InternOnAdmit = DeferIntern ? &Arena : nullptr;
-    for (std::size_t L = 0; L < Table.ActiveLanes; ++L) {
+    for (std::size_t L = 0; L < Lanes.size(); ++L) {
       if (!(LaneMask & (std::uint64_t(1) << L)))
         continue;
       if (L == Last) {
@@ -533,7 +474,7 @@ bool EventProcessor::dispatchOn(const Event &E, std::size_t LaneIndex,
     }
     Delivered = true;
   }
-  if (!Route.Floating.empty() && LaneIndex == homeLane(E, Table)) {
+  if (!Route.Floating.empty() && LaneIndex == homeLane(E)) {
     for (std::uint32_t I : Route.Floating) {
       if (Val) {
         Val->beforeDelivery(*Table.Entries[I].T, E, ValidateLane);
@@ -626,48 +567,6 @@ void EventProcessor::laneLoop(std::size_t LaneIndex) {
   }
 }
 
-void EventProcessor::controllerLoop() {
-  std::uint64_t LastParks = 0;
-  std::uint64_t LastEnqueued = 0;
-  int IdleTicks = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> Lock(ControllerMutex);
-      ControllerCv.wait_for(
-          Lock, std::chrono::milliseconds(ControllerIntervalMs),
-          [this] { return ControllerStop; });
-      if (ControllerStop)
-        return;
-    }
-    std::uint64_t Parks = 0;
-    std::uint64_t Enqueued = 0;
-    for (const auto &L : Lanes) {
-      EventQueueCounters Counters = L->Queue->counters();
-      Parks += Counters.Parks;
-      Enqueued += Counters.Enqueued;
-    }
-    std::size_t Active = laneCount();
-    if (Parks > LastParks && Active < MaxLanesEff) {
-      // Producers parked on a full ring since the last tick: real
-      // back-pressure, add a lane.
-      if (setLaneCount(Active + 1))
-        Core.LaneScaleUps.fetch_add(1, std::memory_order_relaxed);
-      IdleTicks = 0;
-    } else if (Enqueued == LastEnqueued && Active > MinLanesEff) {
-      // No admissions at all for several ticks: give a lane back.
-      if (++IdleTicks >= 3) {
-        if (setLaneCount(Active - 1))
-          Core.LaneScaleDowns.fetch_add(1, std::memory_order_relaxed);
-        IdleTicks = 0;
-      }
-    } else {
-      IdleTicks = 0;
-    }
-    LastParks = Parks;
-    LastEnqueued = Enqueued;
-  }
-}
-
 void EventProcessor::flush() {
   // A dispatch-lane thread waiting for its own queue to drain is a
   // deadlock (the tool hook that called us is the work being waited
@@ -728,10 +627,6 @@ ProcessorStats EventProcessor::stats() const {
   Snapshot.FlushCount = Core.FlushCount.load(std::memory_order_relaxed);
   Snapshot.Reconfigurations =
       Core.Reconfigurations.load(std::memory_order_relaxed);
-  Snapshot.LaneScaleUps =
-      Core.LaneScaleUps.load(std::memory_order_relaxed);
-  Snapshot.LaneScaleDowns =
-      Core.LaneScaleDowns.load(std::memory_order_relaxed);
   Snapshot.DispatchLanes = laneCount();
   EventArenaStats ArenaSnapshot = Arena.stats();
   Snapshot.ArenaPayloads = ArenaSnapshot.payloads();
@@ -792,10 +687,6 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
     // spin window was not enough and a producer actually blocked.
     Sink.metric("queue.spins", Snapshot.QueueSpins);
     Sink.metric("queue.parks", Snapshot.QueueParks);
-    if (Snapshot.LaneScaleUps + Snapshot.LaneScaleDowns > 0) {
-      Sink.metric("lane_scale_ups", Snapshot.LaneScaleUps);
-      Sink.metric("lane_scale_downs", Snapshot.LaneScaleDowns);
-    }
     // The shared payload arena only runs in async mode; its hit count
     // is the number of payload allocations (and their per-lane copies)
     // the interning avoided.

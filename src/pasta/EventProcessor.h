@@ -27,8 +27,9 @@
 ///    application's critical path. An event is routed to the pinned lane
 ///    of every Serial subscriber, plus — when it has ShardByDevice or
 ///    Concurrent subscribers — the event's home lane (DeviceIndex modulo
-///    the active lane count), so per-device ordering holds for sharded
-///    tools and Serial tools keep today's exactly-one-thread contract.
+///    the lane count), so per-device ordering holds for sharded tools and
+///    Serial tools keep today's exactly-one-thread contract. The lane
+///    count is fixed at construction (ProcessorOptions::DispatchThreads).
 ///
 ///    Admission classes: resource events (allocations, frees, tensors,
 ///    streams) are never dropped or sampled by the lossy overflow
@@ -63,19 +64,19 @@
 /// Live reconfiguration (epoch-swapped routing tables): the tool set is
 /// NOT sealed at the first admitted event. Every producer admits under
 /// the routing table published by the RoutingEpoch (a single acquire
-/// load on the event path); addTool()/removeTool()/clearTools()/
-/// setLaneCount() quiesce admission behind a 64-slot entry-counter gate
-/// (a Dekker-style handshake: producers bump a striped counter and
-/// re-check the Reconfiguring flag, the reconfigurer sets the flag and
-/// waits for every counter to reach zero), flush the draining epoch
-/// through every lane (so every event admitted under epoch N is fully
-/// dispatched under epoch N's table), then build and publish table N+1
-/// and release the gate. Retired tables stay resident until the
+/// load on the event path); addTool()/removeTool()/clearTools() quiesce
+/// admission behind a 64-slot entry-counter gate (a Dekker-style
+/// handshake: producers bump a striped counter and re-check the
+/// Reconfiguring flag, the reconfigurer sets the flag and waits for
+/// every counter to reach zero), flush the draining epoch through every
+/// lane (so every event admitted under epoch N is fully dispatched
+/// under epoch N's table), then build and publish table N+1 and release
+/// the gate. Retired tables stay resident until the
 /// processor is destroyed, so a reader that loaded table N is always
 /// safe to finish with it. Serial tools are re-pinned round-robin over
-/// the *active* lanes of the new table only at this barrier — the
-/// sanctioned-migration point PASTA_VALIDATE's lane-affinity checker is
-/// taught about.
+/// the lanes only at this barrier (detaching an earlier-pinned Serial
+/// tool moves the later ones) — the sanctioned-migration point
+/// PASTA_VALIDATE's lane-affinity checker is taught about.
 ///
 /// Reconfiguration entry points must not be called from a dispatch-lane
 /// thread or from inside a tool hook running under an admission guard
@@ -83,15 +84,6 @@
 /// of the work the gate waits on, so the call is rejected with a
 /// diagnostic instead of self-deadlocking (the same contract flush()
 /// enforces for lane threads).
-///
-/// Lane auto-scaling: with ProcessorOptions::LanesAuto, the lane vector
-/// is preallocated to MaxLanes (threads park cheaply on their empty
-/// rings) and a controller thread samples the queues' park/enqueue
-/// counters every LanesAutoIntervalMs, growing the active lane set when
-/// producers park on a full ring and shrinking it after idle intervals,
-/// always within [MinLanes, MaxLanes] and always through the same epoch
-/// swap — so Serial digests stay byte-identical at any active lane
-/// count.
 ///
 /// The GPU-resident collect-and-analyze model (paper Fig. 2b) is realized
 /// by a host thread pool standing in for device analysis warps: tools
@@ -161,15 +153,11 @@ struct ProcessorStats {
   /// Hard flush barriers taken (Synchronization events, record
   /// deliveries, annotation toggles, finish).
   std::uint64_t FlushCount = 0;
-  /// Active dispatch lanes (0 = synchronous inline dispatch).
+  /// Dispatch lanes (0 = synchronous inline dispatch).
   std::uint64_t DispatchLanes = 0;
-  /// Routing-table swaps published so far (tool attach/detach/clear and
-  /// lane-count changes all count; the initial empty table does not).
+  /// Routing-table swaps published so far (tool attach/detach/clear;
+  /// the initial empty table does not count).
   std::uint64_t Reconfigurations = 0;
-  /// Auto-scaler grow decisions (LanesAuto).
-  std::uint64_t LaneScaleUps = 0;
-  /// Auto-scaler shrink decisions (LanesAuto).
-  std::uint64_t LaneScaleDowns = 0;
   /// Async pipeline: enqueues that found a lane's ring full and spun
   /// for space (summed over lanes).
   std::uint64_t QueueSpins = 0;
@@ -219,15 +207,10 @@ struct ProcessorOptions {
   OverflowPolicy Overflow = OverflowPolicy::Block;
   /// The Sample policy's N: 1/N of overflowing events are admitted.
   std::uint64_t SampleEveryN = 8;
-  /// Dispatch lanes when AsyncEvents is on (clamped to [1, 64]). Serial
-  /// tools are pinned round-robin; ShardByDevice/Concurrent tools run on
-  /// each event's home lane. With LanesAuto this is the *initial* active
-  /// lane count (clamped into [MinLanes, MaxLanes]).
+  /// Dispatch lanes when AsyncEvents is on (clamped to [1, 64]), fixed
+  /// for the processor's lifetime. Serial tools are pinned round-robin;
+  /// ShardByDevice/Concurrent tools run on each event's home lane.
   std::size_t DispatchThreads = 1;
-  /// Iterations a full-ring producer (or empty-ring lane consumer)
-  /// spins before parking; 0 parks immediately — the default on
-  /// single-core hosts.
-  std::size_t QueueSpinIterations = defaultQueueSpinIterations();
   /// Content-hash shards for the payload arena's intern tables (0 =
   /// hardware-concurrency-derived default; --arena-shards).
   std::size_t ArenaShards = 0;
@@ -237,18 +220,6 @@ struct ProcessorOptions {
   /// Resident arena payload byte cap, 0 = unlimited (--arena-max-bytes);
   /// past it, new payloads are per-event pins.
   std::uint64_t ArenaMaxBytes = 0;
-  /// Lane auto-scaling (--lanes-auto): a controller
-  /// thread grows the active lane set when producers park on full rings
-  /// and shrinks it across idle intervals, within [MinLanes, MaxLanes].
-  /// Only meaningful with AsyncEvents.
-  bool LanesAuto = false;
-  /// Auto-scaling floor (--min-lanes; 0 = 1).
-  std::size_t MinLanes = 0;
-  /// Auto-scaling ceiling (--max-lanes; 0 = max(DispatchThreads, 4),
-  /// clamped to 64). The lane vector is preallocated to this size.
-  std::size_t MaxLanes = 0;
-  /// Controller sampling interval in milliseconds.
-  std::size_t LanesAutoIntervalMs = 20;
   /// Runtime contract validation (see pasta/Validate.h): Serial
   /// overlap/lane-affinity watchdogs, subscription-mask and -drift
   /// checks, arena payload canaries, flush-barrier assertions. Off by
@@ -284,16 +255,13 @@ struct KindRoute {
 struct RoutingTable {
   /// Publication sequence number (0 = the initial empty table).
   std::uint64_t Epoch = 0;
-  /// Lanes this table routes to (<= the constructed lane vector; the
-  /// auto-scaler moves this between MinLanes and MaxLanes).
-  std::size_t ActiveLanes = 1;
   std::vector<ToolRouteEntry> Entries;
   std::array<KindRoute, NumEventKinds> Routes;
   /// Lanes hosting stack-capturing tools (Subscription::CapturesStacks):
   /// the pinned lane of each capturing Serial tool, widened to every
-  /// active lane when a capturing ShardByDevice/Concurrent tool exists
-  /// (any lane can be its home lane). Python-stack context updates fan
-  /// out to exactly this set.
+  /// lane when a capturing ShardByDevice/Concurrent tool exists (any
+  /// lane can be its home lane). Python-stack context updates fan out
+  /// to exactly this set.
   std::uint64_t StackLaneMask = 0;
   /// Entry indices with fine-grained interests (record batches,
   /// instruction mixes, per-launch trace breakdowns).
@@ -354,14 +322,6 @@ public:
   /// current routing table); nullopt when \p T is not attached.
   std::optional<Subscription> subscriptionOf(const Tool *T) const;
 
-  /// Repins the active lane set to \p Count at an epoch boundary;
-  /// Serial tools migrate to their new round-robin home as part of the
-  /// swap. False in synchronous mode and when \p Count is outside
-  /// [1, constructed lanes]. Same dispatch-context rule as addTool. The
-  /// auto-scaler calls this; it is public so tests and embedders can
-  /// drive scaling directly.
-  bool setLaneCount(std::size_t Count);
-
   RangeFilter &rangeFilter() { return Filter; }
   /// The shared immutable payload arena events are interned into at
   /// admission (asynchronous mode). Exposed for tests and benches that
@@ -376,13 +336,11 @@ public:
   /// atomically), but only quiescent pipelines (after flush()/finish,
   /// or in synchronous mode) yield a mutually consistent snapshot.
   ProcessorStats stats() const;
-  /// Per-constructed-lane snapshots (empty in synchronous mode; with
-  /// LanesAuto, includes currently inactive lanes).
+  /// Per-lane snapshots (empty in synchronous mode).
   std::vector<DispatchLaneStats> laneStats() const;
   bool asyncEvents() const { return !Lanes.empty(); }
-  /// Active dispatch lanes (0 in synchronous mode). With LanesAuto this
-  /// moves at epoch boundaries; without, it equals DispatchThreads.
-  std::size_t laneCount() const;
+  /// Dispatch lanes (0 in synchronous mode), fixed at construction.
+  std::size_t laneCount() const { return Lanes.size(); }
   /// The runtime contract validator, or null when validation is off
   /// (ProcessorOptions::Validate). Tests install collecting handlers
   /// and drive the payload ledger through this.
@@ -434,9 +392,8 @@ private:
 
   /// One dispatch lane: bounded queue, draining thread, lane-local
   /// stack context and counters. The lane vector is sized once at
-  /// construction (to MaxLanes under LanesAuto) and never reallocated —
-  /// scaling moves RoutingTable::ActiveLanes, not this vector — so
-  /// stats()/laneStats()/callStacks() never race a vector resize.
+  /// construction and never reallocated, so stats()/laneStats()/
+  /// callStacks() never race a vector resize.
   struct Lane {
     std::unique_ptr<EventQueue> Queue;
     std::thread Thread;
@@ -470,23 +427,21 @@ private:
   /// filtering and shared Python-stack context. False when filtered.
   bool admit(Event &E);
 
-  /// Compiles the attached tools into a fresh routing table for
-  /// \p ActiveLanes lanes (caller holds AttachMutex).
-  std::unique_ptr<RoutingTable> buildTable(std::size_t ActiveLanes);
+  /// Compiles the attached tools into a fresh routing table (caller
+  /// holds AttachMutex).
+  std::unique_ptr<RoutingTable> buildTable();
 
   /// The epoch swap (caller holds AttachMutex): engage the admission
   /// gate, wait for in-flight admissions, drain every lane (flushing
   /// epoch N completely under table N), register the new contracts with
   /// the validator, publish table N+1, release the gate.
-  void swapTable(std::size_t ActiveLanes);
+  void swapTable();
 
-  /// The lane an event's ShardByDevice/Concurrent subscribers run on
-  /// under \p Table.
-  static std::size_t homeLane(const Event &E, const RoutingTable &Table) {
-    return Table.ActiveLanes <= 1
+  /// The lane an event's ShardByDevice/Concurrent subscribers run on.
+  std::size_t homeLane(const Event &E) const {
+    return Lanes.size() <= 1
                ? 0
-               : static_cast<std::size_t>(E.DeviceIndex) %
-                     Table.ActiveLanes;
+               : static_cast<std::size_t>(E.DeviceIndex) % Lanes.size();
   }
 
   /// Dispatch-unit core: routes \p E to the hooks of every subscriber
@@ -500,10 +455,6 @@ private:
 
   /// Lane thread main: drains the lane's queue until close().
   void laneLoop(std::size_t LaneIndex);
-
-  /// Auto-scaler main: samples queue pressure every interval and moves
-  /// the active lane count through setLaneCount().
-  void controllerLoop();
 
   /// Attached tools in attach order (mutated under AttachMutex; the
   /// compiled per-epoch view lives in the routing tables).
@@ -536,8 +487,6 @@ private:
     std::atomic<std::uint64_t> HostAnalyzedRecords{0};
     std::atomic<std::uint64_t> FlushCount{0};
     std::atomic<std::uint64_t> Reconfigurations{0};
-    std::atomic<std::uint64_t> LaneScaleUps{0};
-    std::atomic<std::uint64_t> LaneScaleDowns{0};
   } Core;
   std::vector<std::unique_ptr<Lane>> Lanes;
 
@@ -550,18 +499,9 @@ private:
   std::mutex ReconfigMutex;
   std::condition_variable ReconfigCv;
 
-  /// Serializes reconfigurations (tool-set mutation, lane scaling)
-  /// against each other; never taken on the steady-state event path.
+  /// Serializes tool-set reconfigurations against each other; never
+  /// taken on the steady-state event path.
   std::mutex AttachMutex;
-
-  /// Auto-scaler state (LanesAuto only).
-  std::size_t MinLanesEff = 1;
-  std::size_t MaxLanesEff = 1;
-  std::size_t ControllerIntervalMs = 20;
-  std::thread Controller;
-  std::mutex ControllerMutex;
-  std::condition_variable ControllerCv;
-  bool ControllerStop = false;
 
   /// Runtime contract checks (null when ProcessorOptions::Validate is
   /// off — the entire validation plane then costs one null test per

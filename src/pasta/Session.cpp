@@ -24,30 +24,8 @@
 
 using namespace pasta;
 
-namespace {
-
-ProcessorOptions processorOptions(const SessionOptions &Opts) {
-  ProcessorOptions Processor;
-  Processor.AnalysisThreads = Opts.AnalysisThreads;
-  Processor.AsyncEvents = Opts.AsyncEvents;
-  Processor.QueueDepth = Opts.QueueDepth;
-  Processor.Overflow = Opts.Overflow;
-  Processor.SampleEveryN = Opts.SampleEveryN;
-  Processor.DispatchThreads = Opts.DispatchThreads;
-  Processor.ArenaShards = Opts.ArenaShards;
-  Processor.ArenaMemo = Opts.ArenaMemo;
-  Processor.ArenaMaxBytes = Opts.ArenaMaxBytes;
-  Processor.LanesAuto = Opts.LanesAuto;
-  Processor.MinLanes = Opts.MinLanes;
-  Processor.MaxLanes = Opts.MaxLanes;
-  Processor.Validate = Opts.Validate;
-  return Processor;
-}
-
-} // namespace
-
 Session::Session(const SessionOptions &Opts)
-    : Opts(Opts), Processor(processorOptions(Opts)), Handler(Processor) {}
+    : Opts(Opts), Processor(Opts.Pipeline), Handler(Processor) {}
 
 Session::~Session() { finish(); }
 
@@ -319,33 +297,21 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
     Err.assign("iteration count must be >= 0 (0 = model default)");
     return nullptr;
   }
-  if (Opts.QueueDepth == 0) {
+  const ProcessorOptions &Pipeline = Opts.Pipeline;
+  if (Pipeline.QueueDepth == 0) {
     Err.assign("event queue depth must be positive");
     return nullptr;
   }
-  if (Opts.SampleEveryN == 0) {
+  if (Pipeline.SampleEveryN == 0) {
     Err.assign("overflow sample modulus must be positive");
     return nullptr;
   }
-  if (Opts.DispatchThreads == 0 || Opts.DispatchThreads > 64) {
+  if (Pipeline.DispatchThreads == 0 || Pipeline.DispatchThreads > 64) {
     Err.assign("dispatch thread count must be in [1, 64]");
     return nullptr;
   }
-  if (Opts.ArenaShards > 64) {
+  if (Pipeline.ArenaShards > 64) {
     Err.assign("arena shard count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
-  if (Opts.MaxLanes > 64) {
-    Err.assign("max lane count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
-  if (Opts.MinLanes > 64) {
-    Err.assign("min lane count must be in [1, 64] (0 = auto)");
-    return nullptr;
-  }
-  if (Opts.MinLanes != 0 && Opts.MaxLanes != 0 &&
-      Opts.MinLanes > Opts.MaxLanes) {
-    Err.assign("min lane count must not exceed max lane count");
     return nullptr;
   }
   if (Opts.ReplaySpeed < 0.0) {

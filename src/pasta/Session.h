@@ -82,42 +82,9 @@ struct SessionOptions {
   double SampleRate = 1.0;
   std::uint64_t RecordGranularityBytes = 4096;
   std::uint64_t DeviceBufferRecords = 1u << 20;
-  /// Device-analysis thread-pool width (0 = hardware concurrency).
-  std::size_t AnalysisThreads = 0;
-  /// Decouple event collection from tool analysis: events are admitted
-  /// into a bounded queue and dispatched on a dedicated thread.
-  /// (Defaults mirror ProcessorOptions, the single source of truth.)
-  bool AsyncEvents = ProcessorOptions().AsyncEvents;
-  /// Capacity of the async event queue.
-  std::size_t QueueDepth = ProcessorOptions().QueueDepth;
-  /// What happens to events arriving while the async queue is full.
-  OverflowPolicy Overflow = ProcessorOptions().Overflow;
-  /// The Sample overflow policy's N (1/N of overflowing events kept).
-  std::uint64_t SampleEveryN = ProcessorOptions().SampleEveryN;
-  /// Dispatch lanes when AsyncEvents is on: Serial-contract tools are
-  /// pinned round-robin, ShardByDevice/Concurrent tools run on each
-  /// event's home lane.
-  std::size_t DispatchThreads = ProcessorOptions().DispatchThreads;
-  /// Content-hash shards for the payload arena's intern tables (0 =
-  /// hardware-concurrency-derived default, clamped to [1, 64]).
-  std::size_t ArenaShards = ProcessorOptions().ArenaShards;
-  /// Thread-local intern memo in front of the arena shards.
-  bool ArenaMemo = ProcessorOptions().ArenaMemo;
-  /// Resident arena payload byte cap (0 = unlimited); past it, new
-  /// payloads fall back to per-event owned pins and are counted.
-  std::uint64_t ArenaMaxBytes = ProcessorOptions().ArenaMaxBytes;
-  /// Lane auto-scaling: a controller samples queue back-pressure
-  /// (parks/enqueue deltas) and grows or shrinks the active lane set
-  /// within [MinLanes, MaxLanes] at epoch boundaries.
-  bool LanesAuto = ProcessorOptions().LanesAuto;
-  /// Auto-scaling floor (0 = 1). Only meaningful with LanesAuto.
-  std::size_t MinLanes = ProcessorOptions().MinLanes;
-  /// Auto-scaling ceiling (0 = max(DispatchThreads, 4), capped at 64).
-  std::size_t MaxLanes = ProcessorOptions().MaxLanes;
-  /// Runtime contract validation (pasta/Validate.h): Serial overlap and
-  /// lane-affinity watchdogs, subscription checks, payload canaries,
-  /// flush-barrier assertions.
-  bool Validate = ProcessorOptions().Validate;
+  /// The event pipeline (dispatch unit) configuration, handed to the
+  /// session's EventProcessor as is.
+  ProcessorOptions Pipeline;
   /// Non-empty: capture the admitted event stream into this binary trace
   /// file (a trace_capture tool is attached automatically; see
   /// docs/TRACE_FORMAT.md).
@@ -344,72 +311,47 @@ public:
     return *this;
   }
   SessionBuilder &analysisThreads(std::size_t Threads) {
-    Opts.AnalysisThreads = Threads;
+    Opts.Pipeline.AnalysisThreads = Threads;
     return *this;
   }
   /// Runs event dispatch on a dedicated thread behind a bounded queue
   /// (paper §III-B's decoupled dispatch unit).
   SessionBuilder &asyncEvents(bool Enabled = true) {
-    Opts.AsyncEvents = Enabled;
+    Opts.Pipeline.AsyncEvents = Enabled;
     return *this;
   }
   SessionBuilder &queueDepth(std::size_t Depth) {
-    Opts.QueueDepth = Depth;
+    Opts.Pipeline.QueueDepth = Depth;
     return *this;
   }
   SessionBuilder &overflowPolicy(OverflowPolicy Policy) {
-    Opts.Overflow = Policy;
+    Opts.Pipeline.Overflow = Policy;
     return *this;
   }
   /// The Sample overflow policy's N (1/N of overflowing events kept).
   SessionBuilder &sampleEveryN(std::uint64_t N) {
-    Opts.SampleEveryN = N;
+    Opts.Pipeline.SampleEveryN = N;
     return *this;
   }
-  /// Number of dispatch lanes for the asynchronous pipeline. Tools with
-  /// ShardByDevice/Concurrent contracts spread across lanes; Serial
-  /// tools stay pinned to one.
+  /// Number of dispatch lanes for the asynchronous pipeline, fixed for
+  /// the session's lifetime. Tools with ShardByDevice/Concurrent
+  /// contracts spread across lanes; Serial tools stay pinned to one.
   SessionBuilder &dispatchThreads(std::size_t Threads) {
-    Opts.DispatchThreads = Threads;
+    Opts.Pipeline.DispatchThreads = Threads;
     return *this;
   }
   /// Content-hash shards for the payload arena (0 = hardware-derived
   /// default). More shards cut admission contention when many producer
   /// threads intern string-bearing events concurrently.
   SessionBuilder &arenaShards(std::size_t Shards) {
-    Opts.ArenaShards = Shards;
-    return *this;
-  }
-  /// Toggles the thread-local intern memo in front of the arena shards
-  /// (on by default; repeated payloads resolve with zero locks).
-  SessionBuilder &arenaMemo(bool Enabled = true) {
-    Opts.ArenaMemo = Enabled;
+    Opts.Pipeline.ArenaShards = Shards;
     return *this;
   }
   /// Caps resident arena payload bytes (0 = unlimited). Past the cap,
   /// new payloads are admitted as per-event owned pins and counted as
   /// arena.evicted_fallbacks.
   SessionBuilder &arenaMaxBytes(std::uint64_t Bytes) {
-    Opts.ArenaMaxBytes = Bytes;
-    return *this;
-  }
-  /// Lets the pipeline grow/shrink its dispatch-lane set from observed
-  /// queue back-pressure, within [minLanes, maxLanes]. Serial tools
-  /// migrate between lanes only at epoch boundaries, so their reports
-  /// stay byte-identical at any lane count. Implies nothing about
-  /// asyncEvents — auto-scaling without the async pipeline is inert.
-  SessionBuilder &lanesAuto(bool Enabled = true) {
-    Opts.LanesAuto = Enabled;
-    return *this;
-  }
-  /// Auto-scaling floor (0 = 1 lane).
-  SessionBuilder &minLanes(std::size_t Count) {
-    Opts.MinLanes = Count;
-    return *this;
-  }
-  /// Auto-scaling ceiling (0 = max(dispatchThreads, 4), capped at 64).
-  SessionBuilder &maxLanes(std::size_t Count) {
-    Opts.MaxLanes = Count;
+    Opts.Pipeline.ArenaMaxBytes = Bytes;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the
@@ -418,7 +360,7 @@ public:
   /// aborts on the first violation (override with
   /// Validator::setHandler).
   SessionBuilder &validate(bool Enabled = true) {
-    Opts.Validate = Enabled;
+    Opts.Pipeline.Validate = Enabled;
     return *this;
   }
   /// Captures the admitted event stream into \p Path (binary trace; a

@@ -222,10 +222,9 @@ inline void encodeStreamMeta(std::string &Out,
 //   request:  magic(8) + u32 protocol version + u32 length + command text
 //   response: u32 status (0 = ok) + u32 length + message text
 // Commands are whitespace-separated words ("attach-tool <tenant>
-// <tool>", "detach-tool <tenant> <tool>", "set-lanes <tenant> <n>",
-// "list-tenants") — the verbs behind `accelprof --control SOCKET
-// <command>`, the path that live-reconfigures a running daemon's
-// tenant sessions.
+// <tool>", "detach-tool <tenant> <tool>", "list-tenants") — the verbs
+// behind `accelprof --control SOCKET <command>`, the path that
+// live-reconfigures a running daemon's tenant sessions.
 
 /// First eight bytes of every control connection ("PASTACTL").
 inline constexpr char ControlMagic[8] = {'P', 'A', 'S', 'T', 'A', 'C', 'T',

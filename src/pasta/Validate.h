@@ -99,8 +99,8 @@ struct ValidatorStats {
   std::uint64_t Violations = 0;
   /// Serial tools whose pinned lane legitimately changed across an
   /// epoch swap (beginReconfiguration/endReconfiguration bracket). Not
-  /// violations: migrations at an epoch boundary are the sanctioned way
-  /// lane auto-scaling rebalances Serial tools.
+  /// violations: a detach re-pins the remaining Serial tools round-robin
+  /// at the epoch boundary, which is the sanctioned way one moves.
   std::uint64_t SanctionedMigrations = 0;
 };
 

@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -319,28 +318,6 @@ std::string Aggregator::executeControl(const std::string &Command,
     return "detached '" + Words[2] + "' from tenant '" + Words[1] + "'";
   }
 
-  if (Verb == "set-lanes") {
-    if (Words.size() != 3)
-      return "usage: set-lanes <tenant> <n>";
-    Tenant *T = Registry.find(Words[1]);
-    if (!T)
-      return "unknown tenant '" + Words[1] +
-             "' (tenants are created by their first client stream)";
-    char *End = nullptr;
-    unsigned long Lanes = std::strtoul(Words[2].c_str(), &End, 10);
-    if (Words[2].empty() || *End != '\0')
-      return "invalid lane count '" + Words[2] + "': expected a number";
-    std::lock_guard<std::mutex> Lock(T->mutex());
-    if (!T->session().processor().setLaneCount(
-            static_cast<std::size_t>(Lanes)))
-      return "cannot set " + Words[2] + " lanes for tenant '" + Words[1] +
-             "': out of range, or the tenant pipeline is synchronous "
-             "(start the daemon with --lanes to enable lane dispatch)";
-    Ok = true;
-    return "tenant '" + Words[1] + "' now dispatches on " + Words[2] +
-           " lanes";
-  }
-
   return "unknown control verb '" + Verb +
-         "' (try attach-tool, detach-tool, set-lanes, list-tenants)";
+         "' (try attach-tool, detach-tool, list-tenants)";
 }

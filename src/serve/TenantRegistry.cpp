@@ -23,8 +23,7 @@ Tenant *TenantRegistry::getOrCreate(const std::string &Name,
   // the decoder), synchronous pipeline (admission is serialized by the
   // tenant mutex; byte-identity with single-process sync reports is the
   // acceptance gate), the daemon's tool set. --lanes opts into the
-  // async pipeline, which is what gives `set-lanes` something to act
-  // on.
+  // async pipeline on a fixed number of lanes.
   SessionBuilder Builder;
   Builder.backend("none").gpu(Opts.Gpu).validate(Opts.Validate);
   if (Opts.Lanes > 0)

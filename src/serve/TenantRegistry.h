@@ -75,7 +75,7 @@ struct ServeOptions {
   std::string Gpu = "A100";
   /// Dispatch lanes for tenant sessions (--lanes). 0 keeps the
   /// synchronous pipeline — the byte-identity default. >0 builds async
-  /// sessions, which is what makes `set-lanes <tenant> <n>` effective.
+  /// sessions on that many lanes, fixed for the session's lifetime.
   std::size_t Lanes = 0;
   /// Live connections one tenant may hold (--quota-max-connections;
   /// 0 = unlimited). Excess Hellos are rejected with a counted

@@ -829,7 +829,10 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
                              std::size_t ArenaShards = 0,
                              bool ArenaMemo = true) {
   SessionError Err;
-  SessionBuilder Builder;
+  // The memo has no builder setter: it is set on the pipeline options.
+  SessionOptions Opts;
+  Opts.Pipeline.ArenaMemo = ArenaMemo;
+  SessionBuilder Builder(Opts);
   Builder.tool("kernel_frequency")
       .tool("working_set")
       .backend("cs-gpu")
@@ -842,8 +845,7 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
         .queueDepth(64)
         .overflowPolicy(OverflowPolicy::Block)
         .dispatchThreads(DispatchThreads)
-        .arenaShards(ArenaShards)
-        .arenaMemo(ArenaMemo);
+        .arenaShards(ArenaShards);
   std::unique_ptr<Session> S = Builder.build(Err);
   EXPECT_NE(S, nullptr) << Err.message();
   if (!S)

@@ -135,7 +135,7 @@ TEST(Validate, DefaultTracksBuildKnob) {
   // Off in a stock build; a -DPASTA_VALIDATE=ON build flips the
   // default everywhere, and every knob layer must agree with it.
   EXPECT_EQ(ProcessorOptions().Validate, validateDefault());
-  EXPECT_EQ(SessionOptions().Validate, validateDefault());
+  EXPECT_EQ(SessionOptions().Pipeline.Validate, validateDefault());
   EventProcessor P(static_cast<std::size_t>(2));
   EXPECT_EQ(P.validator() != nullptr, validateDefault());
 }
