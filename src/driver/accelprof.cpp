@@ -10,8 +10,7 @@
 //             [--iters N] [--managed] [--oversub F]
 //             [--prefetch none|object|tensor] [--format text|json|csv]
 //             [--async] [--queue-depth N] [--overflow block|drop|sample[:N]]
-//             [--dispatch-threads N] [--arena-shards N]
-//             [--arena-max-bytes BYTES] [--capture FILE]
+//             [--dispatch-threads N] [--capture FILE]
 //             [--connect SOCKET [--tenant NAME]] <model>
 //   accelprof -t <tool> -b replay --trace FILE [--replay-speed S]
 //   accelprof --serve SOCKET [-t <tool>]... [--report-dir DIR]
@@ -69,8 +68,7 @@ int usage(const char *Argv0) {
       "          [--format text|json|csv]\n"
       "          [--async] [--queue-depth N]\n"
       "          [--overflow block|drop|sample[:N]]\n"
-      "          [--dispatch-threads N] [--arena-shards N]\n"
-      "          [--arena-max-bytes BYTES] [--validate]\n"
+      "          [--dispatch-threads N] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
       "          [--reconnect [--reconnect-max N] [--spill-max-bytes B]]\n"
@@ -408,28 +406,6 @@ int main(int Argc, char **Argv) {
       // Lanes only exist asynchronously; imply --async like the other
       // queue knobs.
       Builder.dispatchThreads(static_cast<std::size_t>(Threads));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--arena-shards") {
-      long long Shards = std::atoll(NextValue("--arena-shards"));
-      if (Shards <= 0 || Shards > 64) {
-        std::fprintf(stderr,
-                     "error: --arena-shards must be in [1, 64]\n");
-        return 2;
-      }
-      // The arena only runs on the async admission path; imply --async
-      // like the other queue knobs.
-      Builder.arenaShards(static_cast<std::size_t>(Shards));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--arena-max-bytes") {
-      long long Bytes = std::atoll(NextValue("--arena-max-bytes"));
-      if (Bytes <= 0) {
-        std::fprintf(stderr,
-                     "error: --arena-max-bytes must be positive\n");
-        return 2;
-      }
-      Builder.arenaMaxBytes(static_cast<std::uint64_t>(Bytes));
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--overflow") {

@@ -18,7 +18,6 @@
 
 #include "pasta/Events.h"
 #include "pasta/Validate.h"
-#include "support/Logging.h"
 
 #include <algorithm>
 #include <array>
@@ -326,23 +325,6 @@ std::unique_lock<std::mutex> EventArena::lockShard(Shard &S) {
   return Lock;
 }
 
-bool EventArena::pastByteCap(std::uint64_t AddedBytes) {
-  if (Opts.MaxBytes == 0)
-    return false;
-  if (TotalBytes.load(std::memory_order_relaxed) + AddedBytes <=
-      Opts.MaxBytes)
-    return false;
-  Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  if (!CapWarned.exchange(true, std::memory_order_relaxed))
-    logWarning("EventArena: resident payloads reached the "
-               "arena max-bytes cap (" +
-               std::to_string(Opts.MaxBytes) +
-               " bytes); new payloads fall back to per-event owned "
-               "pins without deduplication (counted as "
-               "arena.evicted_fallbacks)");
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Event-level interning
 //===----------------------------------------------------------------------===//
@@ -417,7 +399,6 @@ void EventArena::intern(Event &E) {
 
   // Group by shard: one lock acquisition per involved shard per event.
   bool Done[4] = {false, false, false, false};
-  bool Resident[4] = {false, false, false, false};
   for (std::size_t I = 0; I < NumOps; ++I) {
     if (Done[I])
       continue;
@@ -429,32 +410,23 @@ void EventArena::intern(Event &E) {
       Done[J] = true;
       switch (Ops[J].What) {
       case POpName:
-        E.OpName =
-            internStringLocked(S, Ops[J].Hash, E.OpName, Resident[J]);
+        E.OpName = internStringLocked(S, Ops[J].Hash, E.OpName);
         break;
       case PLayerName:
-        E.LayerName = internStringLocked(S, Ops[J].Hash, E.LayerName,
-                                         Resident[J]);
+        E.LayerName = internStringLocked(S, Ops[J].Hash, E.LayerName);
         break;
       case PStack:
-        E.PythonStack = internStackLocked(S, Ops[J].Hash, E.PythonStack,
-                                          Resident[J]);
+        E.PythonStack = internStackLocked(S, Ops[J].Hash, E.PythonStack);
         break;
       case PKernel:
-        E.adoptKernel(
-            internKernelLocked(S, Ops[J].Hash, *E.Kernel, Resident[J]));
+        E.adoptKernel(internKernelLocked(S, Ops[J].Hash, *E.Kernel));
         break;
       }
     }
   }
-  // Install the canonical results in the memo, outside any lock —
-  // table-resident handles only: a guard-rail fallback pin is not
-  // canonical, and memoizing it would hide subsequent fallbacks from
-  // the arena.evicted_fallbacks accounting.
+  // Install the canonical results in the memo, outside any lock.
   if (UseMemo) {
     for (std::size_t I = 0; I < NumOps; ++I) {
-      if (!Resident[I])
-        continue;
       switch (Ops[I].What) {
       case POpName:
         if (E.OpName.handle())
@@ -497,20 +469,17 @@ PayloadString EventArena::internString(const PayloadString &S) {
   }
   Shard &Sh = shardFor(Hash);
   PayloadString Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internStringLocked(Sh, Hash, S, Resident);
+    Result = internStringLocked(Sh, Hash, S);
   }
-  if (Opts.InternMemo && Resident && Result.handle())
+  if (Opts.InternMemo && Result.handle())
     Memos.Strings.install(Id, Hash, Result.handle());
   return Result;
 }
 
 PayloadString EventArena::internStringLocked(Shard &S, std::uint64_t Hash,
-                                             const PayloadString &Str,
-                                             bool &Resident) {
-  Resident = true;
+                                             const PayloadString &Str) {
   auto &Bucket = S.Strings[Hash];
   for (const auto &Existing : Bucket)
     if (*Existing == Str.str()) {
@@ -519,21 +488,12 @@ PayloadString EventArena::internStringLocked(Shard &S, std::uint64_t Hash,
       Canonical.adopt(Existing);
       return Canonical;
     }
-  // First sight: past the byte cap the payload keeps its own (per-event
-  // owned) allocation; otherwise its existing allocation becomes the
-  // canonical resident one (no copy either way).
-  std::uint64_t Bytes = Str.size();
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Strings.erase(Hash);
-    Resident = false;
-    return Str;
-  }
+  // First sight: the payload's existing allocation becomes the
+  // canonical resident one (no copy).
   Bucket.push_back(Str.handle());
   ++S.Counters.Misses;
   ++S.Counters.Strings;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += Str.size();
   if (Val)
     Val->registerPayload(Str.handle().get(), "string");
   return Str;
@@ -555,20 +515,17 @@ PayloadStack EventArena::internStack(const PayloadStack &S) {
   }
   Shard &Sh = shardFor(Hash);
   PayloadStack Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internStackLocked(Sh, Hash, S, Resident);
+    Result = internStackLocked(Sh, Hash, S);
   }
-  if (Opts.InternMemo && Resident && Result.handle())
+  if (Opts.InternMemo && Result.handle())
     Memos.Stacks.install(Id, Hash, Result.handle());
   return Result;
 }
 
 PayloadStack EventArena::internStackLocked(Shard &S, std::uint64_t Hash,
-                                           const PayloadStack &Stack,
-                                           bool &Resident) {
-  Resident = true;
+                                           const PayloadStack &Stack) {
   auto &Bucket = S.Stacks[Hash];
   for (const auto &Existing : Bucket)
     if (*Existing == Stack.frames()) {
@@ -577,18 +534,10 @@ PayloadStack EventArena::internStackLocked(Shard &S, std::uint64_t Hash,
       Canonical.adopt(Existing);
       return Canonical;
     }
-  std::uint64_t Bytes = stackBytes(Stack.frames());
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Stacks.erase(Hash);
-    Resident = false;
-    return Stack;
-  }
   Bucket.push_back(Stack.handle());
   ++S.Counters.Misses;
   ++S.Counters.Stacks;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += stackBytes(Stack.frames());
   if (Val)
     Val->registerPayload(Stack.handle().get(), "stack");
   return Stack;
@@ -607,40 +556,29 @@ EventArena::internKernel(const sim::KernelDesc &K) {
   }
   Shard &Sh = shardFor(Hash);
   std::shared_ptr<const sim::KernelDesc> Result;
-  bool Resident = false;
   {
     std::unique_lock<std::mutex> Lock = lockShard(Sh);
-    Result = internKernelLocked(Sh, Hash, K, Resident);
+    Result = internKernelLocked(Sh, Hash, K);
   }
-  if (Opts.InternMemo && Resident && Result)
+  if (Opts.InternMemo && Result)
     Memos.Kernels.install(Id, Hash, Result);
   return Result;
 }
 
 std::shared_ptr<const sim::KernelDesc>
 EventArena::internKernelLocked(Shard &S, std::uint64_t Hash,
-                               const sim::KernelDesc &K,
-                               bool &Resident) {
-  Resident = true;
+                               const sim::KernelDesc &K) {
   auto &Bucket = S.Kernels[Hash];
   for (const auto &Existing : Bucket)
     if (kernelEqual(*Existing, K)) {
       ++S.Counters.Hits;
       return Existing;
     }
-  std::uint64_t Bytes = kernelBytes(K);
-  if (pastByteCap(Bytes)) {
-    if (Bucket.empty())
-      S.Kernels.erase(Hash);
-    Resident = false;
-    return std::make_shared<const sim::KernelDesc>(K);
-  }
   auto Stored = std::make_shared<const sim::KernelDesc>(K);
   Bucket.push_back(Stored);
   ++S.Counters.Misses;
   ++S.Counters.Kernels;
-  S.Counters.Bytes += Bytes;
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  S.Counters.Bytes += kernelBytes(K);
   if (Val)
     Val->registerPayload(Stored.get(), "kernel");
   return Stored;
@@ -671,7 +609,6 @@ EventArenaStats EventArena::stats() const {
   Total.MemoHits = MemoHits.load(std::memory_order_relaxed);
   Total.Hits += Total.MemoHits;
   Total.ShardContention = Contention.load(std::memory_order_relaxed);
-  Total.EvictedFallbacks = Fallbacks.load(std::memory_order_relaxed);
   Total.Shards = Shards.size();
   return Total;
 }

@@ -29,25 +29,17 @@
 ///    so a dedup table would grow with event volume.
 ///
 /// Low-contention admission: the intern tables are split into N
-/// content-hash-indexed *shards* (default derived from the hardware
-/// concurrency; EventArenaOptions::Shards / SessionBuilder::arenaShards
-/// override), each behind its own mutex, so
-/// concurrent producers interning distinct payloads rarely touch the
-/// same lock. intern(Event&) groups an event's payloads by shard and
-/// takes each involved shard's lock exactly once. In front of the
-/// shards sits a small *thread-local memo* (a direct-mapped last-N
-/// cache keyed by content hash): the overwhelmingly common repeated
-/// payload — the same op name or Python stack across a training step —
-/// resolves to a refcount bump with zero lock acquisitions. Memo
-/// entries always hold canonical (table-resident) handles, so identity
-/// guarantees are unchanged.
-///
-/// Guard rail: EventArenaOptions::MaxBytes (SessionBuilder::
-/// arenaMaxBytes) caps resident payload bytes. Past the
-/// cap, *new* payloads fall back to per-event owned pins — content
-/// still correct and safely owned, just not deduplicated — a one-time
-/// warning fires, and every fallback is counted (EvictedFallbacks),
-/// making pathological workloads visible instead of unbounded.
+/// content-hash-indexed *shards* (derived from the hardware
+/// concurrency; only EventArenaOptions::Shards overrides it), each
+/// behind its own mutex, so concurrent producers interning distinct
+/// payloads rarely touch the same lock. intern(Event&) groups an
+/// event's payloads by shard and takes each involved shard's lock
+/// exactly once. In front of the shards sits a small *thread-local
+/// memo* (a direct-mapped last-N cache keyed by content hash): the
+/// overwhelmingly common repeated payload — the same op name or Python
+/// stack across a training step — resolves to a refcount bump with
+/// zero lock acquisitions. Memo entries always hold canonical
+/// (table-resident) handles, so identity guarantees are unchanged.
 ///
 /// Ownership model: interned payloads are immutable and refcounted. The
 /// arena keeps one reference for the dedup table (payloads are resident
@@ -309,9 +301,6 @@ struct EventArenaStats {
   /// Shard lock acquisitions that found the lock held (try_lock
   /// failed): the direct measure of admission-side arena contention.
   std::uint64_t ShardContention = 0;
-  /// Payloads admitted past the MaxBytes guard rail as per-event owned
-  /// pins instead of residents (0 when no cap is set or it never hit).
-  std::uint64_t EvictedFallbacks = 0;
   /// Content-hash shards the tables are split into (config echo).
   std::uint64_t Shards = 0;
 
@@ -326,9 +315,6 @@ struct EventArenaOptions {
   std::size_t Shards = 0;
   /// Enables the thread-local intern memo in front of the shards.
   bool InternMemo = true;
-  /// Resident-payload byte cap (0 = unlimited). Past it, new payloads
-  /// fall back to per-event owned pins and are counted.
-  std::uint64_t MaxBytes = 0;
 };
 
 /// Content-deduplicating intern table for event payloads. One arena per
@@ -394,37 +380,24 @@ private:
   /// Locks \p S, counting the acquisition as contended when the lock
   /// was already held.
   std::unique_lock<std::mutex> lockShard(Shard &S);
-  /// True when \p AddedBytes more resident bytes would pass MaxBytes —
-  /// the caller then falls back to a per-event pin. Fires the one-time
-  /// warning and counts the fallback.
-  bool pastByteCap(std::uint64_t AddedBytes);
 
-  /// The locked helpers set \p Resident to false when the byte cap
-  /// forced a per-event fallback pin — such handles are NOT canonical
-  /// and must never enter the thread-local memo (a memoized fallback
-  /// would masquerade as dedup and hide further fallbacks from the
-  /// guard-rail accounting).
+  /// Table lookup-or-insert under \p S's lock; every result is the
+  /// canonical resident handle.
   PayloadString internStringLocked(Shard &S, std::uint64_t Hash,
-                                   const PayloadString &Str,
-                                   bool &Resident);
+                                   const PayloadString &Str);
   PayloadStack internStackLocked(Shard &S, std::uint64_t Hash,
-                                 const PayloadStack &Stack,
-                                 bool &Resident);
+                                 const PayloadStack &Stack);
   std::shared_ptr<const sim::KernelDesc>
   internKernelLocked(Shard &S, std::uint64_t Hash,
-                     const sim::KernelDesc &K, bool &Resident);
+                     const sim::KernelDesc &K);
 
   const EventArenaOptions Opts;
   /// Process-unique id tagging this arena's thread-local memo entries
   /// (a recycled heap address must not revive a dead arena's memo).
   const std::uint64_t Id;
   std::vector<std::unique_ptr<Shard>> Shards;
-  /// Resident payload bytes across all shards (guard-rail accounting).
-  std::atomic<std::uint64_t> TotalBytes{0};
   std::atomic<std::uint64_t> MemoHits{0};
   std::atomic<std::uint64_t> Contention{0};
-  std::atomic<std::uint64_t> Fallbacks{0};
-  std::atomic<bool> CapWarned{false};
   /// PASTA_VALIDATE payload ledger (null when validation is off).
   /// Written once before any interning; read under the shard lock on
   /// miss paths only, so the hot (hit/memo) path never touches it.

@@ -60,7 +60,6 @@ EventArenaOptions arenaOptionsOf(const ProcessorOptions &Opts) {
   EventArenaOptions ArenaOpts;
   ArenaOpts.Shards = Opts.ArenaShards;
   ArenaOpts.InternMemo = Opts.ArenaMemo;
-  ArenaOpts.MaxBytes = Opts.ArenaMaxBytes;
   return ArenaOpts;
 }
 
@@ -634,7 +633,6 @@ ProcessorStats EventProcessor::stats() const {
   Snapshot.ArenaHits = ArenaSnapshot.Hits;
   Snapshot.ArenaMemoHits = ArenaSnapshot.MemoHits;
   Snapshot.ArenaShardContention = ArenaSnapshot.ShardContention;
-  Snapshot.ArenaEvictedFallbacks = ArenaSnapshot.EvictedFallbacks;
   Snapshot.ArenaShards = ArenaSnapshot.Shards;
   for (const auto &L : Lanes) {
     EventQueueCounters Counters = L->Queue->counters();
@@ -696,8 +694,6 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
     Sink.metric("arena.memo_hits", Snapshot.ArenaMemoHits);
     Sink.metric("arena.shards", Snapshot.ArenaShards);
     Sink.metric("arena.shard_contention", Snapshot.ArenaShardContention);
-    Sink.metric("arena.evicted_fallbacks",
-                Snapshot.ArenaEvictedFallbacks);
   }
   if (Lanes.size() > 1) {
     std::vector<DispatchLaneStats> PerLane = laneStats();

@@ -178,9 +178,6 @@ struct ProcessorStats {
   std::uint64_t ArenaMemoHits = 0;
   /// Event arena: shard lock acquisitions that found the lock held.
   std::uint64_t ArenaShardContention = 0;
-  /// Event arena: payloads admitted past the MaxBytes guard rail as
-  /// per-event pins (not deduplicated).
-  std::uint64_t ArenaEvictedFallbacks = 0;
   /// Event arena: content-hash shards the intern tables split into.
   std::uint64_t ArenaShards = 0;
 };
@@ -212,14 +209,12 @@ struct ProcessorOptions {
   /// ShardByDevice/Concurrent tools run on each event's home lane.
   std::size_t DispatchThreads = 1;
   /// Content-hash shards for the payload arena's intern tables (0 =
-  /// hardware-concurrency-derived default; --arena-shards).
+  /// hardware-concurrency-derived default, which sessions use; set to
+  /// measure, as the admission bench's baseline arm does).
   std::size_t ArenaShards = 0;
   /// Thread-local intern memo in front of the arena shards (disable to
   /// measure or to cap per-thread state).
   bool ArenaMemo = true;
-  /// Resident arena payload byte cap, 0 = unlimited (--arena-max-bytes);
-  /// past it, new payloads are per-event pins.
-  std::uint64_t ArenaMaxBytes = 0;
   /// Runtime contract validation (see pasta/Validate.h): Serial
   /// overlap/lane-affinity watchdogs, subscription-mask and -drift
   /// checks, arena payload canaries, flush-barrier assertions. Off by

@@ -30,6 +30,12 @@
 /// — a tool consuming only coarse events never pays for access-record
 /// tracing (paper §III-D's selective instrumentation, as API behavior).
 ///
+/// Every user-facing pipeline knob has a builder setter. The two that
+/// exist only for measurement, ProcessorOptions::ArenaShards and
+/// ArenaMemo, have none: a session uses the hardware-derived arena
+/// shard count and the intern memo unless a caller sets them on
+/// SessionOptions::Pipeline and passes that to SessionBuilder.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PASTA_PASTA_SESSION_H
@@ -338,20 +344,6 @@ public:
   /// contracts spread across lanes; Serial tools stay pinned to one.
   SessionBuilder &dispatchThreads(std::size_t Threads) {
     Opts.Pipeline.DispatchThreads = Threads;
-    return *this;
-  }
-  /// Content-hash shards for the payload arena (0 = hardware-derived
-  /// default). More shards cut admission contention when many producer
-  /// threads intern string-bearing events concurrently.
-  SessionBuilder &arenaShards(std::size_t Shards) {
-    Opts.Pipeline.ArenaShards = Shards;
-    return *this;
-  }
-  /// Caps resident arena payload bytes (0 = unlimited). Past the cap,
-  /// new payloads are admitted as per-event owned pins and counted as
-  /// arena.evicted_fallbacks.
-  SessionBuilder &arenaMaxBytes(std::uint64_t Bytes) {
-    Opts.Pipeline.ArenaMaxBytes = Bytes;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the

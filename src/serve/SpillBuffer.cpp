@@ -6,155 +6,40 @@
 
 #include "serve/SpillBuffer.h"
 
-#include "support/Env.h"
-#include "support/Logging.h"
-
-#include <cerrno>
-#include <cstring>
-#include <vector>
-
-#include <fcntl.h>
-#include <unistd.h>
-
 using namespace pasta;
 using namespace pasta::serve;
 
-SpillBuffer::~SpillBuffer() {
-  if (SpillFd >= 0)
-    ::close(SpillFd);
-}
-
-void SpillBuffer::configure(std::uint64_t NewMaxBytes,
-                            std::uint64_t NewMemBytes, std::string NewDir) {
+void SpillBuffer::configure(std::uint64_t NewMaxBytes) {
   MaxBytes = NewMaxBytes == 0 ? 1 : NewMaxBytes;
-  MemBytes = NewMemBytes > MaxBytes ? MaxBytes : NewMemBytes;
-  Dir = std::move(NewDir);
-}
-
-bool SpillBuffer::ensureSpillFile() {
-  if (SpillFd >= 0)
-    return true;
-  std::string Base = Dir.empty() ? getEnvString("TMPDIR", "/tmp") : Dir;
-  std::string Template = Base + "/pasta-spill-XXXXXX";
-  std::vector<char> Path(Template.begin(), Template.end());
-  Path.push_back('\0');
-  SpillFd = ::mkstemp(Path.data());
-  if (SpillFd < 0) {
-    logWarning("spill buffer: cannot create spill file under '" + Base +
-               "': " + std::strerror(errno));
-    return false;
-  }
-  ::fcntl(SpillFd, F_SETFD, FD_CLOEXEC);
-  // Unlink immediately: the file is anonymous scratch space that the
-  // kernel reclaims when the fd closes, crash included.
-  ::unlink(Path.data());
-  SpillEnd = 0;
-  return true;
-}
-
-void SpillBuffer::popFront() {
-  Frame &F = Frames.front();
-  std::uint64_t Size = F.OnDisk ? F.DiskSize : F.Mem.size();
-  TotalBytes -= Size;
-  if (!F.OnDisk)
-    MemUsed -= Size;
-  Frames.pop_front();
-  if (Frames.empty() && SpillFd >= 0) {
-    // Drained: reclaim the spill file's space in place.
-    if (::ftruncate(SpillFd, 0) == 0)
-      SpillEnd = 0;
-  }
-}
-
-bool SpillBuffer::evictAckedFor(std::uint64_t Need) {
-  while (TotalBytes + Need > MaxBytes && !Frames.empty() &&
-         Frames.front().Sequence < AckWatermark) {
-    popFront();
-    ++Stats.EvictedFrames;
-  }
-  return TotalBytes + Need <= MaxBytes;
 }
 
 bool SpillBuffer::append(std::uint64_t Sequence, std::uint32_t LenWord,
                          const std::string &Payload) {
-  if (!evictAckedFor(Payload.size())) {
-    ++Stats.Overflows;
+  // Make room by evicting acked frames, oldest first; unacked frames
+  // are never evicted.
+  while (TotalBytes + Payload.size() > MaxBytes && !Frames.empty() &&
+         Frames.front().Sequence < AckWatermark) {
+    TotalBytes -= Frames.front().Payload.size();
+    Frames.pop_front();
+  }
+  if (TotalBytes + Payload.size() > MaxBytes)
     return false;
-  }
-  Frame F;
-  F.Sequence = Sequence;
-  F.LenWord = LenWord;
-  if (MemUsed + Payload.size() > MemBytes && ensureSpillFile()) {
-    std::size_t Written = 0;
-    while (Written < Payload.size()) {
-      ssize_t N = ::pwrite(SpillFd, Payload.data() + Written,
-                           Payload.size() - Written,
-                           static_cast<off_t>(SpillEnd + Written));
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        break;
-      }
-      Written += static_cast<std::size_t>(N);
-    }
-    if (Written == Payload.size()) {
-      F.OnDisk = true;
-      F.DiskOffset = SpillEnd;
-      F.DiskSize = static_cast<std::uint32_t>(Payload.size());
-      SpillEnd += Payload.size();
-      ++Stats.SpilledFrames;
-      Stats.SpilledBytes += Payload.size();
-    }
-    // A failed spill write falls back to memory: retention beats the
-    // soft memory cap.
-  }
-  if (!F.OnDisk) {
-    F.Mem = Payload;
-    MemUsed += Payload.size();
-  }
+  Frames.push_back({Sequence, LenWord, Payload});
   TotalBytes += Payload.size();
-  Frames.push_back(std::move(F));
   return true;
 }
 
 bool SpillBuffer::forEachFrom(
     std::uint64_t From,
     const std::function<bool(std::uint64_t, std::uint32_t,
-                             const std::string &)> &Fn) {
-  std::string Scratch;
-  for (const Frame &F : Frames) {
-    if (F.Sequence < From)
-      continue;
-    if (F.OnDisk) {
-      Scratch.resize(F.DiskSize);
-      std::size_t Got = 0;
-      while (Got < F.DiskSize) {
-        ssize_t N = ::pread(SpillFd, &Scratch[Got], F.DiskSize - Got,
-                            static_cast<off_t>(F.DiskOffset + Got));
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0) {
-          logWarning("spill buffer: cannot read back spilled frame " +
-                     std::to_string(F.Sequence) + ": " +
-                     std::strerror(errno));
-          return false;
-        }
-        Got += static_cast<std::size_t>(N);
-      }
-      if (!Fn(F.Sequence, F.LenWord, Scratch))
-        return false;
-    } else {
-      if (!Fn(F.Sequence, F.LenWord, F.Mem))
-        return false;
-    }
-  }
+                             const std::string &)> &Fn) const {
+  for (const Frame &F : Frames)
+    if (F.Sequence >= From && !Fn(F.Sequence, F.LenWord, F.Payload))
+      return false;
   return true;
 }
 
 void SpillBuffer::clear() {
   Frames.clear();
   TotalBytes = 0;
-  MemUsed = 0;
-  if (SpillFd >= 0 && ::ftruncate(SpillFd, 0) == 0)
-    SpillEnd = 0;
 }

@@ -6,20 +6,14 @@
 ///
 /// \file
 /// The client half of exactly-once streaming (docs/SERVE.md): a bounded
-/// FIFO of sent frames a TraceStreamSink retains so it can replay them
-/// after a disconnect — or after a daemon restart that lost all server
-/// state, which is why frames stay retained *past* their ack watermark
-/// until the byte budget forces eviction. Eviction only ever removes
-/// acked frames; when even that cannot make room, the new frame is not
-/// retained and append() returns false so the sink can latch that
-/// future resumes may fail (the current connection is unaffected — the
-/// frame was already sent).
-///
-/// Frames live in memory up to a soft memory cap; beyond it, payloads
-/// spill to one append-only unlinked file under the spill directory
-/// (--spill-max-bytes bounds memory + disk together). The file's space
-/// is reclaimed when the buffer drains empty, which it does on every
-/// clean finish.
+/// in-memory FIFO of sent frames a TraceStreamSink retains so it can
+/// replay them after a disconnect — or after a daemon restart that lost
+/// all server state, which is why frames stay retained *past* their ack
+/// watermark until the byte budget (--spill-max-bytes) forces eviction.
+/// Eviction only ever removes acked frames, oldest first; when even
+/// that cannot make room, the new frame is not retained and append()
+/// returns false so the sink can latch that future resumes may fail
+/// (the current connection is unaffected — the frame was already sent).
 ///
 /// Single-threaded by design: the only caller is the forwarding tool's
 /// Serial lane.
@@ -37,30 +31,11 @@
 namespace pasta {
 namespace serve {
 
-/// Retention counters (surfaced through the sink's stats).
-struct SpillBufferStats {
-  /// Frames whose payload went to the spill file.
-  std::uint64_t SpilledFrames = 0;
-  std::uint64_t SpilledBytes = 0;
-  /// Acked frames evicted to make room.
-  std::uint64_t EvictedFrames = 0;
-  /// Frames append() declined to retain (budget full of unacked data).
-  std::uint64_t Overflows = 0;
-};
-
-/// Bounded FIFO of (sequence, frame) pairs with optional disk spill.
+/// Bounded FIFO of (sequence, frame) pairs.
 class SpillBuffer {
 public:
-  SpillBuffer() = default;
-  ~SpillBuffer();
-  SpillBuffer(const SpillBuffer &) = delete;
-  SpillBuffer &operator=(const SpillBuffer &) = delete;
-
-  /// Sets the budgets before first use. \p MaxBytes bounds memory +
-  /// disk together; \p MemBytes is the in-memory share (clamped to
-  /// MaxBytes); \p Dir hosts the spill file ("" = TMPDIR or /tmp).
-  void configure(std::uint64_t MaxBytes, std::uint64_t MemBytes,
-                 std::string Dir);
+  /// Sets the byte budget before first use (0 is treated as 1).
+  void configure(std::uint64_t MaxBytes);
 
   /// Retains one sent frame (\p LenWord may carry the meta bit). False
   /// when the frame cannot be retained without evicting unacked frames;
@@ -77,11 +52,10 @@ public:
   }
 
   /// Replays retained frames with sequence >= \p From in order. Stops
-  /// early (returning false) when \p Fn returns false or a spill-file
-  /// read fails.
+  /// early (returning false) when \p Fn returns false.
   bool forEachFrom(std::uint64_t From,
                    const std::function<bool(std::uint64_t, std::uint32_t,
-                                            const std::string &)> &Fn);
+                                            const std::string &)> &Fn) const;
 
   bool empty() const { return Frames.empty(); }
   /// Oldest retained sequence; \p NextSequence when nothing is
@@ -91,35 +65,21 @@ public:
   }
   std::uint64_t bytesRetained() const { return TotalBytes; }
   std::uint64_t ackWatermark() const { return AckWatermark; }
-  const SpillBufferStats &stats() const { return Stats; }
 
-  /// Drops every frame and reclaims the spill file.
+  /// Drops every frame.
   void clear();
 
 private:
   struct Frame {
     std::uint64_t Sequence = 0;
     std::uint32_t LenWord = 0;
-    bool OnDisk = false;
-    std::string Mem;
-    std::uint64_t DiskOffset = 0;
-    std::uint32_t DiskSize = 0;
+    std::string Payload;
   };
 
-  bool evictAckedFor(std::uint64_t Need);
-  void popFront();
-  bool ensureSpillFile();
-
   std::uint64_t MaxBytes = 64ull << 20;
-  std::uint64_t MemBytes = 8ull << 20;
-  std::string Dir;
   std::deque<Frame> Frames;
   std::uint64_t TotalBytes = 0;
-  std::uint64_t MemUsed = 0;
   std::uint64_t AckWatermark = 0;
-  int SpillFd = -1;
-  std::uint64_t SpillEnd = 0;
-  SpillBufferStats Stats;
 };
 
 } // namespace serve

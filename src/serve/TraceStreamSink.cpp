@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include <fcntl.h>
@@ -44,6 +45,21 @@ std::uint64_t makeStreamId() {
   return Id ? Id : 1;
 }
 
+/// getEnvInt limited to the matching driver flag's range [\p Lo, \p Hi]:
+/// an out-of-range value keeps \p Default and logs a warning naming
+/// \p Name.
+std::int64_t getEnvIntInRange(const char *Name, std::int64_t Default,
+                              std::int64_t Lo, std::int64_t Hi) {
+  std::int64_t Value = getEnvInt(Name, Default);
+  if (Value >= Lo && Value <= Hi)
+    return Value;
+  logWarning(std::string(Name) + "=" + std::to_string(Value) +
+             " is outside [" + std::to_string(Lo) + ", " +
+             std::to_string(Hi) + "]; using the default " +
+             std::to_string(Default));
+  return Default;
+}
+
 std::string rejectReason(std::uint64_t Code) {
   switch (Code) {
   case trace::StreamRejectResumeUnavailable:
@@ -65,14 +81,14 @@ StreamClientOptions StreamClientOptions::fromEnv() {
   StreamClientOptions O;
   O.ConnectTimeoutSeconds =
       getEnvDouble("PASTA_CONNECT_TIMEOUT", O.ConnectTimeoutSeconds);
-  O.ConnectRetries = static_cast<int>(
-      getEnvInt("PASTA_CONNECT_RETRIES", O.ConnectRetries));
+  O.ConnectRetries = static_cast<int>(getEnvIntInRange(
+      "PASTA_CONNECT_RETRIES", O.ConnectRetries, 0, 1000));
   O.Reconnect = getEnvBool("PASTA_RECONNECT", O.Reconnect);
-  O.ReconnectMax =
-      static_cast<int>(getEnvInt("PASTA_RECONNECT_MAX", O.ReconnectMax));
-  O.SpillMaxBytes = static_cast<std::uint64_t>(getEnvInt(
-      "PASTA_SPILL_MAX_BYTES", static_cast<std::int64_t>(O.SpillMaxBytes)));
-  O.SpillDir = getEnvString("PASTA_SPILL_DIR", O.SpillDir);
+  O.ReconnectMax = static_cast<int>(
+      getEnvIntInRange("PASTA_RECONNECT_MAX", O.ReconnectMax, 1, 1000));
+  O.SpillMaxBytes = static_cast<std::uint64_t>(getEnvIntInRange(
+      "PASTA_SPILL_MAX_BYTES", static_cast<std::int64_t>(O.SpillMaxBytes), 1,
+      std::numeric_limits<std::int64_t>::max()));
   return O;
 }
 
@@ -131,7 +147,7 @@ bool TraceStreamSink::connect(const std::string &SocketPath,
   StreamId = makeStreamId();
   Jitter = SplitMix64(StreamId ^
                       static_cast<std::uint64_t>(::getpid()));
-  Spill.configure(Opts.SpillMaxBytes, Opts.SpillMemBytes, Opts.SpillDir);
+  Spill.configure(Opts.SpillMaxBytes);
   SendFailed = false;
   ResumeBroken = false;
   NextSequence = 0;

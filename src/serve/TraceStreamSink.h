@@ -24,17 +24,17 @@
 /// counted (SendBlocked).
 ///
 /// Fault tolerance is opt-in via StreamClientOptions::Reconnect: sent
-/// frames are retained in a bounded SpillBuffer until the daemon acks
-/// their sequence, and a peer failure switches the sink to a jittered
-/// exponential-backoff reconnect loop instead of failing permanently.
-/// A successful reconnect replays exactly the frames the daemon has not
-/// admitted (its Resume answer names the watermark), so admission stays
-/// exactly-once across any disconnect/reconnect pattern — including a
-/// daemon restart that lost all state, because acked frames stay
-/// retained until the spill budget forces eviction. With Reconnect off
-/// the sink behaves as before: a peer failure permanently fails it, the
-/// stream_forward tool logs once, and the profiled process keeps
-/// running unstreamed.
+/// frames are retained in a bounded in-memory SpillBuffer until the
+/// daemon acks their sequence, and a peer failure switches the sink to
+/// a jittered exponential-backoff reconnect loop instead of failing
+/// permanently. A successful reconnect replays exactly the frames the
+/// daemon has not admitted (its Resume answer names the watermark), so
+/// admission stays exactly-once across any disconnect/reconnect pattern
+/// — including a daemon restart that lost all state, because acked
+/// frames stay retained until the spill budget forces eviction. With
+/// Reconnect off the sink behaves as before: a peer failure permanently
+/// fails it, the stream_forward tool logs once, and the profiled
+/// process keeps running unstreamed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,15 +70,13 @@ struct StreamClientOptions {
   /// Reconnect attempts per outage before the sink fails permanently
   /// (--reconnect-max, PASTA_RECONNECT_MAX).
   int ReconnectMax = 8;
-  /// Spill buffer budget, memory + disk together (--spill-max-bytes,
+  /// Byte budget of the in-memory spill buffer (--spill-max-bytes,
   /// PASTA_SPILL_MAX_BYTES).
   std::uint64_t SpillMaxBytes = 64ull << 20;
-  /// In-memory share of the budget before payloads spill to disk.
-  std::uint64_t SpillMemBytes = 8ull << 20;
-  /// Spill file directory (PASTA_SPILL_DIR; "" = TMPDIR or /tmp).
-  std::string SpillDir;
 
-  /// Defaults overridden by the PASTA_* variables above.
+  /// Defaults overridden by the PASTA_* variables above. A value
+  /// outside its flag's range keeps the default and logs a warning
+  /// naming the variable.
   static StreamClientOptions fromEnv();
 };
 
@@ -138,7 +136,6 @@ public:
   bool finish(SessionError &Err);
 
   const TraceStreamSinkStats &stats() const { return Stats; }
-  const SpillBufferStats &spillStats() const { return Spill.stats(); }
   std::uint64_t streamId() const { return StreamId; }
 
   /// Frame coalescing threshold (bytes); clamped to the envelope's

@@ -166,7 +166,7 @@ TEST(EventArenaTest, InternEventCanonicalizesEveryPayload) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded tables + memo + guard rail (ArenaShardTest.* runs under TSan)
+// Sharded tables + memo (ArenaShardTest.* runs under TSan)
 //===----------------------------------------------------------------------===//
 
 TEST(ArenaShardTest, ShardCountResolution) {
@@ -253,64 +253,6 @@ TEST(ArenaShardTest, ConcurrentProducersOverDistinctPayloadSets) {
   EXPECT_EQ(Stats.Strings,
             PerThread / 2 + ThreadCount * (PerThread / 2));
   EXPECT_EQ(Stats.Shards, 8u);
-}
-
-TEST(ArenaShardTest, MaxBytesFallsBackToPerEventPins) {
-  EventArenaOptions Opts;
-  Opts.Shards = 1;
-  Opts.InternMemo = false;
-  Opts.MaxBytes = 16; // fits one small payload, nothing more
-  EventArena Arena(Opts);
-
-  PayloadString Resident =
-      Arena.internString(PayloadString("aten::small"));
-  PayloadString ResidentAgain =
-      Arena.internString(PayloadString("aten::small"));
-  EXPECT_TRUE(Resident.sharesStorageWith(ResidentAgain))
-      << "payloads resident before the cap keep deduplicating";
-
-  // Past the cap: content stays correct, ownership stays safe, but the
-  // payload is a per-event pin — two interns do not share storage.
-  PayloadString FallbackA = Arena.internString(
-      PayloadString("aten::a_payload_past_the_cap"));
-  PayloadString FallbackB = Arena.internString(
-      PayloadString("aten::a_payload_past_the_cap"));
-  EXPECT_EQ(FallbackA, "aten::a_payload_past_the_cap");
-  EXPECT_FALSE(FallbackA.sharesStorageWith(FallbackB));
-
-  EventArenaStats Stats = Arena.stats();
-  EXPECT_EQ(Stats.Strings, 1u) << "fallbacks are not resident";
-  EXPECT_EQ(Stats.EvictedFallbacks, 2u);
-  EXPECT_LE(Stats.Bytes, 16u);
-}
-
-TEST(ArenaShardTest, MaxBytesFallbacksNeverEnterTheMemo) {
-  // With the memo ON, fallback pins must still be created (and
-  // counted) on every intern: a memoized fallback would masquerade as
-  // dedup and hide the guard-rail pathology it exists to surface.
-  EventArenaOptions Opts;
-  Opts.Shards = 1;
-  Opts.InternMemo = true;
-  Opts.MaxBytes = 16;
-  EventArena Arena(Opts);
-
-  PayloadString Resident =
-      Arena.internString(PayloadString("aten::small"));
-  PayloadString ResidentAgain =
-      Arena.internString(PayloadString("aten::small"));
-  EXPECT_TRUE(Resident.sharesStorageWith(ResidentAgain));
-
-  PayloadString FallbackA = Arena.internString(
-      PayloadString("aten::a_payload_past_the_cap"));
-  PayloadString FallbackB = Arena.internString(
-      PayloadString("aten::a_payload_past_the_cap"));
-  EXPECT_FALSE(FallbackA.sharesStorageWith(FallbackB))
-      << "a memoized fallback would wrongly dedup per-event pins";
-
-  EventArenaStats Stats = Arena.stats();
-  EXPECT_EQ(Stats.EvictedFallbacks, 2u)
-      << "every past-cap intern must be visible in the counter";
-  EXPECT_EQ(Stats.Strings, 1u);
 }
 
 TEST(ArenaShardTest, MemoReleasesHandlesAfterArenaDeath) {

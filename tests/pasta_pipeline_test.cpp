@@ -829,8 +829,10 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
                              std::size_t ArenaShards = 0,
                              bool ArenaMemo = true) {
   SessionError Err;
-  // The memo has no builder setter: it is set on the pipeline options.
+  // The arena knobs have no builder setters: they are set on the
+  // pipeline options.
   SessionOptions Opts;
+  Opts.Pipeline.ArenaShards = ArenaShards;
   Opts.Pipeline.ArenaMemo = ArenaMemo;
   SessionBuilder Builder(Opts);
   Builder.tool("kernel_frequency")
@@ -844,8 +846,7 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
     Builder.asyncEvents()
         .queueDepth(64)
         .overflowPolicy(OverflowPolicy::Block)
-        .dispatchThreads(DispatchThreads)
-        .arenaShards(ArenaShards);
+        .dispatchThreads(DispatchThreads);
   std::unique_ptr<Session> S = Builder.build(Err);
   EXPECT_NE(S, nullptr) << Err.message();
   if (!S)

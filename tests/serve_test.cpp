@@ -25,6 +25,7 @@
 #include "serve/Aggregator.h"
 #include "serve/Connection.h"
 #include "serve/Control.h"
+#include "serve/SpillBuffer.h"
 #include "serve/TenantRegistry.h"
 #include "serve/TraceStreamSink.h"
 #include "support/Env.h"
@@ -1130,25 +1131,140 @@ TEST(StreamClientOptionsTest, FromEnvOverridesDefaults) {
   setEnvOverride("PASTA_RECONNECT", "1");
   setEnvOverride("PASTA_RECONNECT_MAX", "17");
   setEnvOverride("PASTA_SPILL_MAX_BYTES", "1048576");
-  setEnvOverride("PASTA_SPILL_DIR", "/tmp/pasta_spill_test");
   StreamClientOptions O = StreamClientOptions::fromEnv();
   clearEnvOverride("PASTA_CONNECT_TIMEOUT");
   clearEnvOverride("PASTA_CONNECT_RETRIES");
   clearEnvOverride("PASTA_RECONNECT");
   clearEnvOverride("PASTA_RECONNECT_MAX");
   clearEnvOverride("PASTA_SPILL_MAX_BYTES");
-  clearEnvOverride("PASTA_SPILL_DIR");
   EXPECT_EQ(O.ConnectTimeoutSeconds, 2.5);
   EXPECT_EQ(O.ConnectRetries, 3);
   EXPECT_TRUE(O.Reconnect);
   EXPECT_EQ(O.ReconnectMax, 17);
   EXPECT_EQ(O.SpillMaxBytes, 1048576u);
-  EXPECT_EQ(O.SpillDir, "/tmp/pasta_spill_test");
 
   StreamClientOptions Defaults = StreamClientOptions::fromEnv();
   EXPECT_EQ(Defaults.ConnectTimeoutSeconds, 5.0);
   EXPECT_EQ(Defaults.ConnectRetries, 0);
   EXPECT_FALSE(Defaults.Reconnect);
+}
+
+TEST(StreamClientOptionsTest, OutOfRangeEnvKeepsDefaults) {
+  // The matching driver flags reject these values; the environment
+  // must not smuggle them in (-1 would become an unbounded spill
+  // budget, 0 a reconnect loop that gives up at once).
+  const StreamClientOptions Defaults;
+  auto Resolve = [](const char *Name, const char *Value) {
+    setEnvOverride(Name, Value);
+    StreamClientOptions O = StreamClientOptions::fromEnv();
+    clearEnvOverride(Name);
+    return O;
+  };
+  EXPECT_EQ(Resolve("PASTA_SPILL_MAX_BYTES", "-1").SpillMaxBytes,
+            Defaults.SpillMaxBytes);
+  EXPECT_EQ(Resolve("PASTA_SPILL_MAX_BYTES", "0").SpillMaxBytes,
+            Defaults.SpillMaxBytes);
+  EXPECT_EQ(Resolve("PASTA_RECONNECT_MAX", "0").ReconnectMax,
+            Defaults.ReconnectMax);
+  EXPECT_EQ(Resolve("PASTA_RECONNECT_MAX", "1001").ReconnectMax,
+            Defaults.ReconnectMax);
+  EXPECT_EQ(Resolve("PASTA_CONNECT_RETRIES", "-1").ConnectRetries,
+            Defaults.ConnectRetries);
+  // The range ends are accepted.
+  EXPECT_EQ(Resolve("PASTA_SPILL_MAX_BYTES", "1").SpillMaxBytes, 1u);
+  EXPECT_EQ(Resolve("PASTA_RECONNECT_MAX", "1000").ReconnectMax, 1000);
+  EXPECT_EQ(Resolve("PASTA_CONNECT_RETRIES", "0").ConnectRetries, 0);
+}
+
+//===----------------------------------------------------------------------===//
+// SpillBuffer (the client's in-memory retained-frame buffer)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The sequences \p Buffer would replay from \p From.
+std::vector<std::uint64_t> retainedFrom(const SpillBuffer &Buffer,
+                                        std::uint64_t From) {
+  std::vector<std::uint64_t> Seqs;
+  Buffer.forEachFrom(From, [&](std::uint64_t Seq, std::uint32_t,
+                               const std::string &) {
+    Seqs.push_back(Seq);
+    return true;
+  });
+  return Seqs;
+}
+
+} // namespace
+
+TEST(SpillBufferTest, EvictsAckedFramesOldestFirst) {
+  SpillBuffer Buffer;
+  Buffer.configure(30);
+  for (std::uint64_t Seq = 0; Seq < 3; ++Seq)
+    ASSERT_TRUE(Buffer.append(Seq, 10, std::string(10, 'a')));
+  EXPECT_EQ(Buffer.bytesRetained(), 30u);
+  // Acked frames stay retained until the budget needs their room.
+  Buffer.ack(2);
+  EXPECT_EQ(retainedFrom(Buffer, 0), (std::vector<std::uint64_t>{0, 1, 2}));
+  ASSERT_TRUE(Buffer.append(3, 10, std::string(10, 'b')));
+  EXPECT_EQ(retainedFrom(Buffer, 0), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(Buffer.firstRetained(4), 1u);
+  // A frame needing two slots evicts the last acked frame, then finds
+  // unacked frame 2 at the front and cannot evict it.
+  EXPECT_FALSE(Buffer.append(4, 20, std::string(20, 'c')));
+  EXPECT_EQ(retainedFrom(Buffer, 0), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(Buffer.bytesRetained(), 20u);
+}
+
+TEST(SpillBufferTest, RefusesFrameWhenUnackedFramesFillTheBudget) {
+  SpillBuffer Buffer;
+  Buffer.configure(25);
+  ASSERT_TRUE(Buffer.append(0, 10, std::string(10, 'a')));
+  ASSERT_TRUE(Buffer.append(1, 10, std::string(10, 'b')));
+  EXPECT_FALSE(Buffer.append(2, 10, std::string(10, 'c')));
+  EXPECT_EQ(Buffer.bytesRetained(), 20u);
+  EXPECT_EQ(retainedFrom(Buffer, 0), (std::vector<std::uint64_t>{0, 1}));
+  // A frame larger than the whole budget is refused even when empty.
+  SpillBuffer Tiny;
+  Tiny.configure(4);
+  EXPECT_FALSE(Tiny.append(0, 5, "12345"));
+  EXPECT_TRUE(Tiny.empty());
+}
+
+TEST(SpillBufferTest, ForEachFromReplaysInOrderAndStopsEarly) {
+  SpillBuffer Buffer;
+  for (std::uint64_t Seq = 0; Seq < 5; ++Seq)
+    ASSERT_TRUE(Buffer.append(Seq, static_cast<std::uint32_t>(Seq) | 0x100,
+                              "frame" + std::to_string(Seq)));
+  std::vector<std::string> Seen;
+  bool Completed = Buffer.forEachFrom(
+      2, [&](std::uint64_t Seq, std::uint32_t LenWord,
+             const std::string &Payload) {
+        EXPECT_EQ(LenWord, static_cast<std::uint32_t>(Seq) | 0x100);
+        Seen.push_back(Payload);
+        return true;
+      });
+  EXPECT_TRUE(Completed);
+  EXPECT_EQ(Seen, (std::vector<std::string>{"frame2", "frame3", "frame4"}));
+
+  std::vector<std::uint64_t> Stopped;
+  Completed = Buffer.forEachFrom(
+      1, [&](std::uint64_t Seq, std::uint32_t, const std::string &) {
+        Stopped.push_back(Seq);
+        return Seq < 2;
+      });
+  EXPECT_FALSE(Completed);
+  EXPECT_EQ(Stopped, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(SpillBufferTest, ClearDropsEveryFrame) {
+  SpillBuffer Buffer;
+  ASSERT_TRUE(Buffer.append(7, 3, "abc"));
+  ASSERT_TRUE(Buffer.append(8, 3, "def"));
+  Buffer.clear();
+  EXPECT_TRUE(Buffer.empty());
+  EXPECT_EQ(Buffer.bytesRetained(), 0u);
+  EXPECT_EQ(Buffer.firstRetained(9), 9u);
+  EXPECT_TRUE(retainedFrom(Buffer, 0).empty());
 }
 
 //===----------------------------------------------------------------------===//
