@@ -32,8 +32,8 @@
 //    below 5000 — the CI smoke — still prints the ratio);
 //  * a Serial digest tool folding payload bytes must produce
 //    byte-identical digests under sync, 1-lane and 4-lane dispatch,
-//    for arena shard counts 1 and default, memo on and off (Block
-//    policy, single producer).
+//    for arena shard counts 1 and default, memo on and off (single
+//    producer).
 //
 // --json <path> additionally writes the table + counters as JSON
 // (consumed by scripts/run_benches.py into BENCH_pr5.json);
@@ -69,7 +69,7 @@ constexpr std::size_t HotDistinctPayloads = 16;
 // Mutex baseline: the PR 4 EventQueue, verbatim semantics
 //===----------------------------------------------------------------------===//
 
-/// The pre-ring bounded MPSC queue (Block policy): one mutex, condvars
+/// The pre-ring bounded MPSC queue (lossless): one mutex, condvars
 /// for producers/consumer, notify_all on every batch drain.
 class MutexQueue {
 public:
@@ -233,8 +233,7 @@ AdmissionResult runAdmission(const PayloadPool &Pool,
   std::unique_ptr<EventQueue> Ring;
   std::unique_ptr<MutexQueue> Legacy;
   if (UseRing)
-    Ring = std::make_unique<EventQueue>(QueueDepth, OverflowPolicy::Block,
-                                        /*SampleEveryN=*/1);
+    Ring = std::make_unique<EventQueue>(QueueDepth);
   else
     Legacy = std::make_unique<MutexQueue>(QueueDepth);
 
@@ -320,7 +319,6 @@ std::uint64_t digestRun(const PayloadPool &Pool, std::size_t Lanes,
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = Lanes > 0;
   Opts.QueueDepth = 1024;
-  Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = Lanes;
   Opts.ArenaShards = ArenaShards;
   Opts.ArenaMemo = Memo;
@@ -414,7 +412,7 @@ int main(int Argc, char **Argv) {
   std::printf("==============================================================="
               "=================\n");
   std::printf("%zu events/producer, queue depth %zu, arena default shards "
-              "%zu, Block policy\n\n",
+              "%zu\n\n",
               EventsPerProducer, QueueDepth,
               EventArena::defaultShardCount());
 

@@ -10,10 +10,9 @@
 // that decoupling buys on a coarse-event-heavy workload — the application
 // thread only pays queue admission, while a dedicated dispatch thread
 // pays the tool cost — and how the bounded queue's depth moves the
-// needle (deeper = fewer stalls under the Block policy, at more buffered
-// memory). A second table compares the overflow policies at a deliberately
-// undersized queue, where their loss/backpressure trade-offs show up in
-// the drop/sample counters.
+// needle. Admission is lossless, so a full queue stalls the application
+// thread until its lane catches up: deeper queues mean fewer stalls, at
+// more buffered memory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +32,7 @@ struct SweepResult {
 };
 
 /// Runs the fixed workload once; Depth == 0 selects synchronous mode.
-SweepResult runOnce(std::size_t Depth, OverflowPolicy Policy,
-                    std::uint64_t SampleEveryN = 8) {
+SweepResult runOnce(std::size_t Depth) {
   SessionBuilder Builder;
   Builder.tool("kernel_frequency")
       .backend("cs-gpu")
@@ -42,10 +40,7 @@ SweepResult runOnce(std::size_t Depth, OverflowPolicy Policy,
       .model("bert")
       .iterations(1);
   if (Depth > 0)
-    Builder.asyncEvents()
-        .queueDepth(Depth)
-        .overflowPolicy(Policy)
-        .sampleEveryN(SampleEveryN);
+    Builder.asyncEvents().queueDepth(Depth);
   std::unique_ptr<Session> S = bench::buildSession(Builder);
 
   auto Start = std::chrono::steady_clock::now();
@@ -67,13 +62,13 @@ int main() {
   bench::banner("Ablation: async event-queue depth (dispatch unit)",
                 "the paper's decoupled dispatch unit, SIII-B");
 
-  SweepResult Sync = runOnce(0, OverflowPolicy::Block);
+  SweepResult Sync = runOnce(0);
 
   TablePrinter Depths({"Queue Depth", "Wall Time", "vs sync",
                        "Max Depth Seen", "Flushes"});
   Depths.addRow({"sync (inline)", millis(Sync.Millis), "1.00x", "-", "-"});
   for (std::size_t Depth : {64u, 256u, 1024u, 4096u, 16384u}) {
-    SweepResult R = runOnce(Depth, OverflowPolicy::Block);
+    SweepResult R = runOnce(Depth);
     Depths.addRow({std::to_string(Depth), millis(R.Millis),
                    format("%.2fx", R.Millis / Sync.Millis),
                    std::to_string(R.Stats.MaxQueueDepth),
@@ -81,23 +76,7 @@ int main() {
   }
   Depths.print(stdout);
 
-  std::printf("\noverflow policies at a deliberately tiny queue "
-              "(depth 16):\n\n");
-  TablePrinter Policies({"Policy", "Wall Time", "Processed", "Dropped",
-                         "Sampled Out"});
-  for (OverflowPolicy Policy :
-       {OverflowPolicy::Block, OverflowPolicy::DropNewest,
-        OverflowPolicy::Sample}) {
-    SweepResult R = runOnce(16, Policy, /*SampleEveryN=*/8);
-    Policies.addRow({overflowPolicyName(Policy), millis(R.Millis),
-                     std::to_string(R.Stats.EventsProcessed),
-                     std::to_string(R.Stats.EventsDropped),
-                     std::to_string(R.Stats.EventsSampledOut)});
-  }
-  Policies.print(stdout);
-
   std::printf("\ndeeper queues absorb bursts without stalling the "
-              "application thread; Block is lossless, DropNewest and "
-              "Sample trade completeness for latency.\n");
+              "application thread; every depth delivers every event.\n");
   return 0;
 }

@@ -22,7 +22,7 @@
 //
 // A determinism check closes the table: a Serial digest tool must see
 // the byte-identical event sequence under sync, 1-lane async and 4-lane
-// async dispatch (Block policy, single producer).
+// async dispatch (single producer).
 //
 //===----------------------------------------------------------------------===//
 
@@ -123,7 +123,6 @@ ProcessorOptions laneOptions(std::size_t LaneCount) {
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = LaneCount > 0;
   Opts.QueueDepth = 1024;
-  Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = LaneCount;
   return Opts;
 }
@@ -236,7 +235,7 @@ int main() {
   std::uint64_t FourLaneDigest = digestRun(4);
   bool Deterministic =
       SyncDigest == OneLaneDigest && SyncDigest == FourLaneDigest;
-  std::printf("serial-tool determinism (Block policy): sync=%016llx "
+  std::printf("serial-tool determinism: sync=%016llx "
               "1-lane=%016llx 4-lane=%016llx -> %s\n",
               static_cast<unsigned long long>(SyncDigest),
               static_cast<unsigned long long>(OneLaneDigest),

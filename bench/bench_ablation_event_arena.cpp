@@ -26,7 +26,7 @@
 //    with the subscriber count);
 //  * a Serial digest tool folding payload bytes must produce
 //    byte-identical digests under sync, 1-lane and 4-lane dispatch
-//    (Block policy, single producer).
+//    (single producer).
 //
 //===----------------------------------------------------------------------===//
 
@@ -165,7 +165,6 @@ ProcessorOptions laneOptions(std::size_t LaneCount) {
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = LaneCount > 0;
   Opts.QueueDepth = 2048;
-  Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = LaneCount;
   return Opts;
 }
@@ -288,7 +287,7 @@ int main() {
   std::uint64_t OneLane = digestRun(DigestSet, 1);
   std::uint64_t FourLane = digestRun(DigestSet, 4);
   bool Deterministic = SyncDigest == OneLane && SyncDigest == FourLane;
-  std::printf("serial payload digest (Block policy): sync=%016llx "
+  std::printf("serial payload digest: sync=%016llx "
               "1-lane=%016llx 4-lane=%016llx -> %s\n",
               static_cast<unsigned long long>(SyncDigest),
               static_cast<unsigned long long>(OneLane),

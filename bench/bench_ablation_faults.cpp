@@ -56,6 +56,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -184,6 +185,7 @@ double runMode(std::size_t Clients, std::size_t EventCount,
   SessionError Err;
   if (!Daemon.start(Err)) {
     std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    std::filesystem::remove_all(Opts.ReportDir);
     IntegrityOk = false;
     return 0.0;
   }
@@ -192,6 +194,8 @@ double runMode(std::size_t Clients, std::size_t EventCount,
       producerSweep(Clients, EventCount, Opts.SocketPath, ClientOpts, Ok);
   Daemon.requestStop();
   Daemon.wait();
+  // The integrity check reads the registry, not the report files.
+  std::filesystem::remove_all(Opts.ReportDir);
   SessionError LookupErr;
   serve::Tenant *T = Daemon.registry().getOrCreate("bench", LookupErr);
   IntegrityOk = Ok && T &&

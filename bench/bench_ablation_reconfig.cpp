@@ -308,7 +308,6 @@ SwapLatencies runSwaps() {
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = 1024;
-  Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = 4;
   EventProcessor Processor(Opts);
   ChecksumTool Stable(ExecutionModel::Serial, 0);
@@ -439,8 +438,8 @@ int main(int Argc, char **Argv) {
               ChecksumsMatch ? "identical" : "MISMATCH");
 
   SwapLatencies Swaps = runSwaps();
-  std::printf("reconfiguration swap latency under load (4 lanes, Block "
-              "policy, %zu attach+detach cycles):\n"
+  std::printf("reconfiguration swap latency under load (4 lanes, "
+              "%zu attach+detach cycles):\n"
               "  min %.1f us   median %.1f us   max %.1f us\n\n",
               SwapCycles, Swaps.MinUs, Swaps.MedianUs, Swaps.MaxUs);
 

@@ -49,7 +49,7 @@ def usage_text(source: str) -> str:
 
 def doc_table_spans(path: str, pattern: re.Pattern):
     """(line number, name) for every code span in a table row that
-    starts with `pattern`: a flag (`--overflow sample:N`, `-t TOOL`)
+    starts with `pattern`: a flag (`--queue-depth N`, `-t TOOL`)
     or an environment variable (`PASTA_FAULTS=seed:spec`)."""
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):

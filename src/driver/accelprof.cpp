@@ -9,8 +9,8 @@
 //   accelprof [-v] -t <tool> [-b <backend>] [-g <gpu>] [--train]
 //             [--iters N] [--managed] [--oversub F]
 //             [--prefetch none|object|tensor] [--format text|json|csv]
-//             [--async] [--queue-depth N] [--overflow block|drop|sample[:N]]
-//             [--dispatch-threads N] [--capture FILE]
+//             [--async] [--queue-depth N] [--dispatch-threads N]
+//             [--capture FILE]
 //             [--connect SOCKET [--tenant NAME]] <model>
 //   accelprof -t <tool> -b replay --trace FILE [--replay-speed S]
 //   accelprof --serve SOCKET [-t <tool>]... [--report-dir DIR]
@@ -32,6 +32,10 @@
 // <model> is a Table IV zoo entry (alexnet, resnet18, resnet34, gpt2,
 // bert, whisper). Tools: see `accelprof --list-tools`; backends:
 // `accelprof --list-backends`.
+//
+// Under --async a lane queue that fills back-pressures the profiled run
+// until its lane catches up: nothing is dropped, so the tool reports
+// match a synchronous run's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +71,6 @@ int usage(const char *Argv0) {
       "          [--granularity BYTES] [--sample-rate R]\n"
       "          [--format text|json|csv]\n"
       "          [--async] [--queue-depth N]\n"
-      "          [--overflow block|drop|sample[:N]]\n"
       "          [--dispatch-threads N] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
@@ -406,29 +409,6 @@ int main(int Argc, char **Argv) {
       // Lanes only exist asynchronously; imply --async like the other
       // queue knobs.
       Builder.dispatchThreads(static_cast<std::size_t>(Threads));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--overflow") {
-      std::string Spec = NextValue("--overflow");
-      // "sample:16" selects the Sample policy keeping 1/16.
-      std::size_t Colon = Spec.find(':');
-      if (Colon != std::string::npos) {
-        long long EveryN = std::atoll(Spec.substr(Colon + 1).c_str());
-        if (EveryN <= 0) {
-          std::fprintf(stderr,
-                       "error: --overflow sample:N needs a positive N\n");
-          return 2;
-        }
-        Builder.sampleEveryN(static_cast<std::uint64_t>(EveryN));
-        Spec = Spec.substr(0, Colon);
-      }
-      auto Policy = parseOverflowPolicy(Spec);
-      if (!Policy) {
-        std::fprintf(stderr, "error: unknown overflow policy '%s'\n",
-                     Spec.c_str());
-        return 2;
-      }
-      Builder.overflowPolicy(*Policy);
       Builder.asyncEvents();
       Async = true;
     } else if (Arg == "--granularity") {

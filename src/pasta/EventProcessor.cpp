@@ -148,8 +148,7 @@ EventProcessor::EventProcessor(const ProcessorOptions &Opts)
     for (std::size_t I = 0; I < LaneCount; ++I) {
       auto L = std::make_unique<Lane>();
       L->Queue = std::make_unique<EventQueue>(
-          std::max<std::size_t>(Opts.QueueDepth, 1), Opts.Overflow,
-          std::max<std::uint64_t>(Opts.SampleEveryN, 1));
+          std::max<std::size_t>(Opts.QueueDepth, 1));
       Lanes.push_back(std::move(L));
     }
   }
@@ -414,39 +413,23 @@ void EventProcessor::process(Event E) {
     LaneMask |= Table.StackLaneMask;
 
   if (LaneMask != 0) {
-    bool Critical =
-        eventAdmissionClass(E.Kind) != AdmissionClass::Standard;
-    std::size_t Last = 0;
-    std::size_t Fanout = 0;
-    for (std::size_t L = 0; L < Lanes.size(); ++L)
-      if (LaneMask & (std::uint64_t(1) << L)) {
-        Last = L;
-        ++Fanout;
-      }
-    // Interning placement: multi-lane fan-out interns up front so the
-    // per-lane Event copies below share refcounted immutable payloads
-    // (strings, stacks, pinned kernel/tensor descriptors) instead of
-    // deep-copying them; so does anything certain to be admitted
-    // (Block policy, critical events) — deferral would only move the
-    // intern inside the queue lock for no benefit. Single-lane routes
-    // under a lossy policy defer interning into enqueue(), past the
-    // overflow decision, so discarded events never allocate or
-    // register arena payloads. Unrouted events (LaneMask == 0) never
-    // touch the arena at all.
-    bool Lossy =
-        Lanes.front()->Queue->policy() != OverflowPolicy::Block;
-    bool DeferIntern = Fanout == 1 && Lossy && !Critical;
-    if (!DeferIntern)
-      Arena.intern(E);
-    EventArena *InternOnAdmit = DeferIntern ? &Arena : nullptr;
-    for (std::size_t L = 0; L < Lanes.size(); ++L) {
-      if (!(LaneMask & (std::uint64_t(1) << L)))
+    // Intern once, up front, so the per-lane Event copies below share
+    // refcounted immutable payloads (strings, stacks, pinned
+    // kernel/tensor descriptors) instead of deep-copying them. Pinning
+    // the borrowed pointees happens here, while the producing callback's
+    // frame is still live. Unrouted events (LaneMask == 0) never touch
+    // the arena at all.
+    Arena.intern(E);
+    for (std::size_t L = 0; LaneMask != 0; ++L) {
+      std::uint64_t Bit = std::uint64_t(1) << L;
+      if (!(LaneMask & Bit))
         continue;
-      if (L == Last) {
-        Lanes[L]->Queue->enqueue(std::move(E), Critical, InternOnAdmit);
-        break;
-      }
-      Lanes[L]->Queue->enqueue(E, Critical, InternOnAdmit);
+      LaneMask &= ~Bit;
+      // The last lane takes the event itself; the others get copies.
+      if (LaneMask == 0)
+        Lanes[L]->Queue->enqueue(std::move(E));
+      else
+        Lanes[L]->Queue->enqueue(E);
     }
   }
   if (Barrier)
@@ -637,7 +620,6 @@ ProcessorStats EventProcessor::stats() const {
   for (const auto &L : Lanes) {
     EventQueueCounters Counters = L->Queue->counters();
     Snapshot.EventsDropped += Counters.Dropped;
-    Snapshot.EventsSampledOut += Counters.SampledOut;
     Snapshot.QueueSpins += Counters.Spins;
     Snapshot.QueueParks += Counters.Parks;
     Snapshot.MaxQueueDepth =
@@ -655,7 +637,6 @@ std::vector<DispatchLaneStats> EventProcessor::laneStats() const {
     Stats.EventsDispatched = L->Dispatched.load(std::memory_order_relaxed);
     Stats.Enqueued = Counters.Enqueued;
     Stats.Dropped = Counters.Dropped;
-    Stats.SampledOut = Counters.SampledOut;
     Stats.MaxQueueDepth = Counters.MaxDepth;
     Out.push_back(Stats);
   }
@@ -667,17 +648,14 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
   Sink.beginReport("event_pipeline");
   Sink.metric("mode", std::string(Lanes.empty() ? "sync" : "async"));
   if (!Lanes.empty()) {
-    const EventQueue &Q = *Lanes.front()->Queue;
-    Sink.metric("overflow_policy",
-                std::string(overflowPolicyName(Q.policy())));
-    Sink.metric("queue_depth", static_cast<std::uint64_t>(Q.capacity()));
+    Sink.metric("queue_depth",
+                static_cast<std::uint64_t>(Lanes.front()->Queue->capacity()));
     Sink.metric("dispatch_lanes", Snapshot.DispatchLanes);
     Sink.metric("reconfigurations", Snapshot.Reconfigurations);
   }
   Sink.metric("events_processed", Snapshot.EventsProcessed);
   Sink.metric("events_filtered", Snapshot.EventsFiltered);
   Sink.metric("events_dropped", Snapshot.EventsDropped);
-  Sink.metric("events_sampled_out", Snapshot.EventsSampledOut);
   Sink.metric("max_queue_depth", Snapshot.MaxQueueDepth);
   Sink.metric("flush_count", Snapshot.FlushCount);
   if (!Lanes.empty()) {

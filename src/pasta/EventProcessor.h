@@ -31,12 +31,10 @@
 ///    Serial tools keep today's exactly-one-thread contract. The lane
 ///    count is fixed at construction (ProcessorOptions::DispatchThreads).
 ///
-///    Admission classes: resource events (allocations, frees, tensors,
-///    streams) are never dropped or sampled by the lossy overflow
-///    policies — they wait for space like Block — so every tool's
-///    allocation view stays consistent under loss. Synchronization
-///    events, TraceSink record deliveries and finish() are hard flush
-///    barriers across all lanes; with the Block policy and Serial-
+///    Admission is lossless: a full lane queue back-pressures the
+///    producer until the lane catches up, so every admitted event is
+///    delivered. Synchronization events, TraceSink record deliveries and
+///    finish() are hard flush barriers across all lanes; with Serial-
 ///    contract tools, async reports are byte-identical to synchronous
 ///    ones.
 ///
@@ -51,15 +49,13 @@
 ///    Zero-copy fan-out: once routing determines an event reaches at
 ///    least one lane, its payloads (operator/layer names, Python
 ///    stacks, kernel/tensor descriptors) are interned into the
-///    processor's EventArena on the producer's thread — up front when
-///    the event fans out to several lanes (the copies must share), at
-///    queue admission for single-lane routes (events discarded by a
-///    lossy overflow policy never allocate). Per-lane Event copies
-///    share refcounted immutable payloads instead of duplicating them,
-///    so fan-out cost no longer scales with the subscriber count, and
-///    unrouted events never touch the arena. The arena's occupancy and
-///    hit counters surface through stats() and the event_pipeline
-///    report (arena.* metrics).
+///    processor's EventArena on the producer's thread, once, before
+///    any lane's queue sees it. Per-lane Event copies share refcounted
+///    immutable payloads instead of duplicating them, so fan-out cost
+///    no longer scales with the subscriber count, and unrouted events
+///    never touch the arena. The arena's occupancy and hit counters
+///    surface through stats() and the event_pipeline report (arena.*
+///    metrics).
 ///
 /// Live reconfiguration (epoch-swapped routing tables): the tool set is
 /// NOT sealed at the first admitted event. Every producer admits under
@@ -144,9 +140,12 @@ struct ProcessorStats {
   std::uint64_t RecordsDelivered = 0;
   std::uint64_t DeviceAnalyzedRecords = 0;
   std::uint64_t HostAnalyzedRecords = 0;
-  /// Async pipeline: events discarded by the DropNewest policy.
+  /// Async pipeline: enqueues that arrived after teardown closed a
+  /// lane's queue (admission is otherwise lossless).
   std::uint64_t EventsDropped = 0;
-  /// Async pipeline: events discarded by the Sample policy.
+  /// Always 0: nothing samples events out any more. Kept because
+  /// pastabench and the stream meta frames still read it; it goes with
+  /// the next change to the benchmark.
   std::uint64_t EventsSampledOut = 0;
   /// Async pipeline: high-water mark over every lane's queue.
   std::uint64_t MaxQueueDepth = 0;
@@ -187,7 +186,6 @@ struct DispatchLaneStats {
   std::uint64_t EventsDispatched = 0;
   std::uint64_t Enqueued = 0;
   std::uint64_t Dropped = 0;
-  std::uint64_t SampledOut = 0;
   std::uint64_t MaxQueueDepth = 0;
 };
 
@@ -197,13 +195,9 @@ struct ProcessorOptions {
   std::size_t AnalysisThreads = 0;
   /// Decouple event collection from tool analysis on dispatch lanes.
   bool AsyncEvents = false;
-  /// Bounded per-lane queue capacity between producers and dispatch.
+  /// Bounded per-lane queue capacity between producers and dispatch; a
+  /// producer that finds its lane's queue full waits for space.
   std::size_t QueueDepth = 4096;
-  /// What happens to standard-class events arriving while a lane's
-  /// queue is full (resource events always wait for space).
-  OverflowPolicy Overflow = OverflowPolicy::Block;
-  /// The Sample policy's N: 1/N of overflowing events are admitted.
-  std::uint64_t SampleEveryN = 8;
   /// Dispatch lanes when AsyncEvents is on (clamped to [1, 64]), fixed
   /// for the processor's lifetime. Serial tools are pinned round-robin;
   /// ShardByDevice/Concurrent tools run on each event's home lane.
@@ -471,7 +465,7 @@ private:
   CallStackBuilder SharedStacks;
   ThreadPool AnalysisThreads;
   /// Core counters live as atomics: dispatch lanes increment them while
-  /// producers may snapshot via stats() (e.g. a monitor polling drop
+  /// producers may snapshot via stats() (e.g. a monitor polling queue
   /// counters mid-run).
   struct {
     std::atomic<std::uint64_t> EventsProcessed{0};

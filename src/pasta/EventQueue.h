@@ -14,45 +14,27 @@
 /// with arena-interned payloads, so buffering and batching shuffle
 /// refcounted handles, not payload bytes.
 ///
-/// Admission protocol (the low-contention producer path):
+/// Admission is lossless: a full ring back-pressures its producer, which
+/// waits for space, so every event handed to enqueue() before close()
+/// is delivered. The protocol (the low-contention producer path):
 ///
-///  * Producers *claim* a slot by taking a ticket — an atomic fetch-add
-///    on the tail for admissions that cannot fail (Block policy,
-///    critical events), a fullness-checked CAS for lossy policies (so a
-///    DropNewest producer never claims a slot it would have to stall
-///    on). No lock is taken on the admission fast path.
+///  * Producers *claim* a slot by taking a ticket — one atomic fetch-add
+///    on the tail. No lock is taken on the admission fast path.
+///  * If the claimed slot is still a lap ahead of the consumer (the ring
+///    is full), the producer spins briefly and then parks on a
+///    futex-style waiter (mutex+condvar, entered only on this slow
+///    path). The consumer wakes parked producers only when someone is
+///    actually parked (see counters Spins/Parks).
 ///  * A claimed slot is *published* by storing the ticket+1 into the
 ///    slot's sequence number (release); the consumer recognizes
 ///    published slots by that sequence and frees them by storing
 ///    ticket+ring-size after moving the event out. Per-producer FIFO
 ///    order follows from ticket order.
-///  * When the ring is actually full, Block/Sample producers spin
-///    briefly and then park on a futex-style waiter (mutex+condvar,
-///    entered only on this slow path). The consumer wakes parked
-///    producers only when someone is actually parked — batch drains no
-///    longer broadcast to empty waiter lists (see counters Spins/Parks).
 ///
-/// The consumer still drains double-buffered batches: dequeueBatch moves
+/// The consumer drains double-buffered batches: dequeueBatch moves
 /// every contiguously published slot into the caller's vector and
 /// dispatches it lock-free; waitDrained() synchronizes on "ring empty
-/// and the consumer between batches", exactly as before.
-///
-/// When the queue is full, one of three overflow policies applies:
-///
-///  * Block      — producers wait for space; nothing is ever lost, at the
-///                 cost of back-pressure into the application (the
-///                 deterministic default).
-///  * DropNewest — the incoming event is discarded and counted; the
-///                 application never stalls.
-///  * Sample     — 1/N of overflowing events are admitted (waiting for
-///                 space like Block), the other N-1 are counted as
-///                 sampled out; a statistical middle ground. The modular
-///                 counter is *per producer thread* (a thread-local memo
-///                 keyed by the queue's process-unique id, mirroring the
-///                 arena's intern memo), so the sampled-out fast path
-///                 performs no shared write at all — each producer
-///                 independently keeps 1/N of the overflow it produces,
-///                 and only the SampledOut accounting counter is shared.
+/// and the consumer between batches".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,24 +49,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace pasta {
-
-/// What happens to an incoming event when the queue is full.
-enum class OverflowPolicy : std::uint8_t {
-  Block,      ///< Producer waits for space (lossless, back-pressure).
-  DropNewest, ///< Incoming event is discarded and counted.
-  Sample,     ///< 1/N of overflowing events admitted, rest counted out.
-};
-
-/// Stable lower-case name ("block", "drop-newest", "sample").
-const char *overflowPolicyName(OverflowPolicy Policy);
-
-/// Parses driver/env spellings ("block", "drop", "drop-newest",
-/// "sample"); nullopt when unknown.
-std::optional<OverflowPolicy> parseOverflowPolicy(const std::string &Name);
 
 /// Default spin window before a full-ring producer (or empty-ring
 /// consumer) parks: 64 iterations on multi-core hosts, 0 on single-core
@@ -95,8 +62,8 @@ std::size_t defaultQueueSpinIterations();
 /// Monotonic counters; snapshot via EventQueue::counters().
 struct EventQueueCounters {
   std::uint64_t Enqueued = 0;
+  /// Enqueues that arrived after close() and were discarded.
   std::uint64_t Dropped = 0;
-  std::uint64_t SampledOut = 0;
   /// High-water mark of occupied ring slots.
   std::uint64_t MaxDepth = 0;
   /// Batches handed to the consumer.
@@ -119,30 +86,20 @@ public:
 
   /// \p Capacity bounds the number of buffered events (> 0, clamped to
   /// MaxCapacity; the backing ring rounds up to a power of two but
-  /// admission enforces the exact figure); \p SampleEveryN is the
-  /// Sample policy's N (> 0, ignored by the other policies).
-  /// \p SpinIterations is how long a full-ring producer (or an
-  /// empty-ring consumer) spins before parking; 0 parks immediately —
-  /// the right call on single-core hosts.
-  EventQueue(std::size_t Capacity, OverflowPolicy Policy,
-             std::uint64_t SampleEveryN,
-             std::size_t SpinIterations = defaultQueueSpinIterations());
-  ~EventQueue();
+  /// admission enforces the exact figure). \p SpinIterations is how long
+  /// a full-ring producer (or an empty-ring consumer) spins before
+  /// parking; 0 parks immediately — the right call on single-core hosts.
+  explicit EventQueue(
+      std::size_t Capacity,
+      std::size_t SpinIterations = defaultQueueSpinIterations());
 
   EventQueue(const EventQueue &) = delete;
   EventQueue &operator=(const EventQueue &) = delete;
 
-  /// Producer side: admits \p E per the overflow policy. Events arriving
-  /// after close() are discarded. \p Critical events (resource admission
-  /// class, barriers) bypass the lossy policies: they wait for space like
-  /// Block so allocation/tensor views stay consistent under loss.
-  /// When \p InternOnAdmit is set, the event's payloads are interned
-  /// into that arena only once the event's slot claim succeeded —
-  /// single-lane routes use this so events discarded by a lossy policy
-  /// never allocate or touch the arena (multi-lane fan-out interns
-  /// before enqueueing instead, because the per-lane copies must share).
-  void enqueue(Event E, bool Critical = false,
-               EventArena *InternOnAdmit = nullptr);
+  /// Producer side: claims a ticket, waits while the ring is full, and
+  /// publishes \p E. Events arriving after close() are discarded and
+  /// counted as dropped.
+  void enqueue(Event E);
 
   /// Consumer side: moves every contiguously published event into
   /// \p Batch, blocking until events are available. Returns false when
@@ -164,7 +121,6 @@ public:
   void close();
 
   std::size_t capacity() const { return Capacity; }
-  OverflowPolicy policy() const { return Policy; }
   EventQueueCounters counters() const;
 
   /// Validation accessors (PASTA_VALIDATE flush-barrier assertions).
@@ -197,9 +153,9 @@ private:
   /// event counted as dropped).
   std::optional<std::uint64_t> claimTicket();
 
-  /// Publishes \p E into the slot claimed by \p Ticket (interning first
-  /// when the admission deferred it) and wakes a parked consumer.
-  void publish(std::uint64_t Ticket, Event &&E, EventArena *InternOnAdmit);
+  /// Publishes \p E into the slot claimed by \p Ticket and wakes a
+  /// parked consumer.
+  void publish(std::uint64_t Ticket, Event &&E);
 
   /// Spin-then-park until \p Ticket's slot has space
   /// (Ticket - Head < Capacity). Slow path only.
@@ -209,13 +165,7 @@ private:
   void notifyDrainedIfIdle();
 
   const std::size_t Capacity;
-  const OverflowPolicy Policy;
-  const std::uint64_t SampleEveryN;
   const std::size_t SpinIterations;
-  /// Process-unique id tagging this queue's per-producer Sample-counter
-  /// memo entries (a recycled heap address must not revive a dead
-  /// queue's overflow count; same pattern as EventArena's intern memo).
-  const std::uint64_t Id;
   std::size_t RingMask = 0;
   /// The ring storage (power-of-two sized, >= Capacity).
   std::vector<Slot> Ring;
@@ -236,8 +186,7 @@ private:
     return TailWord & ~ClosedBit;
   }
 
-  /// Next ticket to claim (plus ClosedBit once closed). fetch-add for
-  /// must-admit paths, CAS for lossy ones.
+  /// Next ticket to claim (plus ClosedBit once closed).
   std::atomic<std::uint64_t> Tail{0};
   /// First unconsumed ticket; published by the consumer after freeing a
   /// batch's slots.
@@ -254,16 +203,11 @@ private:
   /// thundering-herd empty waiter lists.
   std::atomic<std::uint32_t> ParkedProducers{0};
   std::atomic<std::uint32_t> DrainWaiters{0};
-  // The Sample policy's modular counter lives in a thread-local memo
-  // keyed by Id (see EventQueue.cpp), not here: the sampled-out path is
-  // the *lossy* fast path, and a shared atomic counter on it was the
-  // last cross-producer write on lossy admission.
 
   /// Enqueued is not here: it is derived from Tail (every claim
   /// publishes), keeping the admission fast path at one atomic RMW.
   struct {
     std::atomic<std::uint64_t> Dropped{0};
-    std::atomic<std::uint64_t> SampledOut{0};
     std::atomic<std::uint64_t> MaxDepth{0};
     std::atomic<std::uint64_t> Batches{0};
     std::atomic<std::uint64_t> Spins{0};
@@ -273,7 +217,7 @@ private:
   /// Slow-path parking only; never taken on the admission fast path.
   std::mutex WaitMutex;
   std::condition_variable NotEmpty; ///< parked consumer
-  std::condition_variable NotFull;  ///< parked Block/Sample producers
+  std::condition_variable NotFull;  ///< producers parked on a full ring
   std::condition_variable Drained;  ///< waitDrained() waiters
 };
 

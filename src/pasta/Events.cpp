@@ -96,36 +96,3 @@ EventLevel pasta::eventLevel(EventKind Kind) {
   }
   PASTA_UNREACHABLE("unknown EventKind");
 }
-
-AdmissionClass pasta::eventAdmissionClass(EventKind Kind) {
-  switch (Kind) {
-  case EventKind::Synchronization:
-    return AdmissionClass::Barrier;
-  case EventKind::MemoryAlloc:
-  case EventKind::MemoryFree:
-  case EventKind::StreamCreate:
-  case EventKind::StreamDestroy:
-  case EventKind::DeviceMalloc:
-  case EventKind::DeviceFree:
-  case EventKind::TensorAlloc:
-  case EventKind::TensorReclaim:
-    return AdmissionClass::Resource;
-  case EventKind::DriverFunction:
-  case EventKind::RuntimeFunction:
-  case EventKind::KernelLaunch:
-  case EventKind::KernelComplete:
-  case EventKind::MemoryCopy:
-  case EventKind::MemorySet:
-  case EventKind::BatchMemoryOp:
-  case EventKind::ThreadBlockEntry:
-  case EventKind::ThreadBlockExit:
-  case EventKind::BarrierInstruction:
-  case EventKind::OperatorStart:
-  case EventKind::OperatorEnd:
-  case EventKind::LayerBoundary:
-  case EventKind::FwdBwdBoundary:
-  case EventKind::CustomRegion:
-    return AdmissionClass::Standard;
-  }
-  PASTA_UNREACHABLE("unknown EventKind");
-}

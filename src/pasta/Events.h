@@ -92,20 +92,6 @@ const char *eventKindName(EventKind Kind);
 /// The taxonomy level a kind belongs to.
 EventLevel eventLevel(EventKind Kind);
 
-/// Loss tolerance of a kind under queue overflow. Resource events build
-/// the allocation/tensor view every other analysis keys off; dropping or
-/// sampling one desynchronizes tool state for the rest of the run, so
-/// the pipeline always admits them (they wait for space like Block).
-/// Barrier events additionally flush the pipeline.
-enum class AdmissionClass : std::uint8_t {
-  Standard, ///< subject to the configured overflow policy
-  Resource, ///< never dropped or sampled out (alloc/free/tensor/stream)
-  Barrier,  ///< never lost and a hard flush barrier (Synchronization)
-};
-
-/// The admission class a kind belongs to.
-AdmissionClass eventAdmissionClass(EventKind Kind);
-
 /// Copy directions normalized across vendors.
 enum class CopyDirection : std::uint8_t {
   HostToDevice,

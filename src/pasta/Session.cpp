@@ -302,10 +302,6 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
     Err.assign("event queue depth must be positive");
     return nullptr;
   }
-  if (Pipeline.SampleEveryN == 0) {
-    Err.assign("overflow sample modulus must be positive");
-    return nullptr;
-  }
   if (Pipeline.DispatchThreads == 0 || Pipeline.DispatchThreads > 64) {
     Err.assign("dispatch thread count must be in [1, 64]");
     return nullptr;

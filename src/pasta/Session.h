@@ -326,17 +326,10 @@ public:
     Opts.Pipeline.AsyncEvents = Enabled;
     return *this;
   }
+  /// Per-lane queue capacity. Admission is lossless: a producer that
+  /// finds its lane's queue full waits until the lane catches up.
   SessionBuilder &queueDepth(std::size_t Depth) {
     Opts.Pipeline.QueueDepth = Depth;
-    return *this;
-  }
-  SessionBuilder &overflowPolicy(OverflowPolicy Policy) {
-    Opts.Pipeline.Overflow = Policy;
-    return *this;
-  }
-  /// The Sample overflow policy's N (1/N of overflowing events kept).
-  SessionBuilder &sampleEveryN(std::uint64_t N) {
-    Opts.Pipeline.SampleEveryN = N;
     return *this;
   }
   /// Number of dispatch lanes for the asynchronous pipeline, fixed for

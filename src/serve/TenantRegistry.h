@@ -89,9 +89,9 @@ struct ServeOptions {
   /// without corrupting the stream.
   double QuotaBytesPerSec = 0.0;
   /// What an over-rate tenant's events get: "throttle" (back-pressure
-  /// the connection; the client's bounded queue degrades per its own
-  /// overflow policy) or "shed" (drop excess events at admission,
-  /// counted as quota_shed).
+  /// the connection; the client's bounded queue fills and stalls the
+  /// profiled run) or "shed" (drop excess events at admission, counted
+  /// as quota_shed).
   std::string QuotaPolicy = "throttle";
   /// Disconnect a stream connection idle this long (--idle-timeout;
   /// 0 = never). The partial stream is salvaged: admitted events stay

@@ -424,10 +424,10 @@ bool TraceStreamSink::sendAll(const char *Data, std::size_t Size) {
     }
     if (Sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Backpressure: wait for the daemon to drain. In an async session
-      // this blocks the forwarder's lane, fills the event queue, and
-      // hands control to the session's overflow policy — the documented
-      // degradation path. Acks are drained opportunistically so the
-      // receive buffer never wedges a throttled connection.
+      // this blocks the forwarder's lane, fills its event queue, and
+      // stalls the producer until the daemon catches up — the
+      // documented degradation path. Acks are drained opportunistically
+      // so the receive buffer never wedges a throttled connection.
       ++Stats.SendBlocked;
       pollfd Pfd;
       Pfd.fd = Fd;

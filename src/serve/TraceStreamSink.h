@@ -17,11 +17,10 @@
 /// non-blocking: when the daemon falls behind and the socket buffer
 /// fills, the sink *blocks the forwarding tool's lane* in poll() —
 /// which in an async session backs pressure up into the bounded
-/// EventQueue, where the session's configured overflow policy
-/// (block/drop-newest/sample) takes over. That is the documented
-/// fallback: a slow aggregator degrades the stream exactly like any
-/// other slow consumer, it never deadlocks admission. Blocked waits are
-/// counted (SendBlocked).
+/// EventQueue, whose full ring stalls the producer in turn. A slow
+/// aggregator therefore stalls the profiled run exactly like any other
+/// slow tool; nothing is dropped and admission never deadlocks. Blocked
+/// waits are counted (SendBlocked).
 ///
 /// Fault tolerance is opt-in via StreamClientOptions::Reconnect: sent
 /// frames are retained in a bounded in-memory SpillBuffer until the
@@ -118,6 +117,12 @@ public:
   /// True while the sink is usable — connected, or between reconnect
   /// attempts with frames retained.
   bool isConnected() const { return Fd >= 0 || Disconnected; }
+  /// True once the transport failed for good (send error without
+  /// reconnect, reconnects exhausted, or a resume the spill buffer could
+  /// no longer serve). A failed sink may already have closed its socket,
+  /// so isConnected() alone does not tell a truncated stream from one
+  /// that never opened.
+  bool failed() const { return SendFailed; }
 
   /// TraceOutput: buffers \p Size bytes, flushing full frames.
   bool write(const char *Data, std::size_t Size) override;

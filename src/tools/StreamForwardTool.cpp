@@ -72,8 +72,16 @@ void StreamForwardTool::onStart() {
 void StreamForwardTool::onEvent(const Event &E) { Writer.append(E); }
 
 void StreamForwardTool::onFinish() {
-  if (!Sink.isConnected())
+  if (!Sink.isConnected()) {
+    // A sink that failed after a successful open may have closed its
+    // socket already (a reconnect sink whose spill buffer could not
+    // serve a resume does); the stream is truncated all the same. A
+    // forwarder that never connected said so at onStart.
+    if (!OpenFailed && Sink.failed())
+      logWarning("stream connection to '" + SocketPath +
+                 "' failed; aggregator will see this stream as truncated");
     return;
+  }
   SessionError Err;
   // End record into the frame buffer, then the pipeline-counter meta
   // frame, then the final frame + EOF.

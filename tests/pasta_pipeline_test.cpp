@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The asynchronous dispatch unit: ordering guarantees, flush barriers,
-// overflow-policy accounting, admission classes (resource events are
-// never dropped), declarative subscription routing, sharded multi-lane
-// dispatch, and the determinism contract — on a fixed workload, async
-// mode with the Block policy must produce byte-identical JSON tool
+// lossless back-pressure in the ticketed ring, declarative subscription
+// routing, sharded multi-lane dispatch, and the determinism contract —
+// on a fixed workload, async mode must produce byte-identical JSON tool
 // reports to synchronous mode, for any lane count, for Serial-contract
 // tools.
 //
@@ -25,8 +24,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <thread>
@@ -56,36 +53,6 @@ public:
   std::vector<EventKind> Kinds;
 };
 
-/// Blocks the dispatch thread on its first event until release() — lets
-/// tests fill the queue deterministically behind it.
-class GateTool : public Tool {
-public:
-  std::string name() const override { return "gate"; }
-  Subscription subscription() override {
-    Subscription Sub;
-    Sub.Kinds = EventKindMask::all();
-    Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
-    return Sub;
-  }
-  void onEvent(const Event &) override {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock, [this] { return Open; });
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Open = true;
-    }
-    Cv.notify_all();
-  }
-
-private:
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  bool Open = false;
-};
-
 /// Counts MemoryCopy deliveries on one serial lane; the producer reads
 /// the count after flush().
 class CopyCountTool : public Tool {
@@ -111,8 +78,6 @@ Event allocEvent(sim::DeviceAddr Address) {
   return E;
 }
 
-/// MemoryCopy is a standard-admission kind — unlike resource events, the
-/// lossy overflow policies may discard it.
 Event copyEvent(sim::DeviceAddr Address, int Device = 0) {
   Event E;
   E.Kind = EventKind::MemoryCopy;
@@ -122,15 +87,12 @@ Event copyEvent(sim::DeviceAddr Address, int Device = 0) {
   return E;
 }
 
-ProcessorOptions asyncOptions(std::size_t Depth, OverflowPolicy Policy,
-                              std::uint64_t SampleEveryN = 4,
+ProcessorOptions asyncOptions(std::size_t Depth,
                               std::size_t DispatchThreads = 1) {
   ProcessorOptions Opts;
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = Depth;
-  Opts.Overflow = Policy;
-  Opts.SampleEveryN = SampleEveryN;
   Opts.DispatchThreads = DispatchThreads;
   return Opts;
 }
@@ -138,27 +100,11 @@ ProcessorOptions asyncOptions(std::size_t Depth, OverflowPolicy Policy,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// OverflowPolicy names
-//===----------------------------------------------------------------------===//
-
-TEST(OverflowPolicyTest, NamesAndParsing) {
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::Block), "block");
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::DropNewest),
-               "drop-newest");
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::Sample), "sample");
-  EXPECT_EQ(parseOverflowPolicy("block"), OverflowPolicy::Block);
-  EXPECT_EQ(parseOverflowPolicy("drop"), OverflowPolicy::DropNewest);
-  EXPECT_EQ(parseOverflowPolicy("drop-newest"), OverflowPolicy::DropNewest);
-  EXPECT_EQ(parseOverflowPolicy("sample"), OverflowPolicy::Sample);
-  EXPECT_EQ(parseOverflowPolicy("firehose"), std::nullopt);
-}
-
-//===----------------------------------------------------------------------===//
 // Delivery and ordering
 //===----------------------------------------------------------------------===//
 
 TEST(AsyncPipeline, DeliversEverythingAfterFlush) {
-  EventProcessor Processor(asyncOptions(64, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(64));
   CollectTool Tool;
   Processor.addTool(&Tool);
 
@@ -170,7 +116,6 @@ TEST(AsyncPipeline, DeliversEverythingAfterFlush) {
   ProcessorStats Stats = Processor.stats();
   EXPECT_EQ(Stats.EventsProcessed, 1000u);
   EXPECT_EQ(Stats.EventsDropped, 0u);
-  EXPECT_EQ(Stats.EventsSampledOut, 0u);
   EXPECT_GT(Stats.MaxQueueDepth, 0u);
   EXPECT_LE(Stats.MaxQueueDepth, 64u);
 }
@@ -179,7 +124,7 @@ TEST(AsyncPipeline, FlushWaitsForTheLastEventOfEveryBurst) {
   // flush() must not return while the lane still dispatches the last
   // event it took. Many short bursts, each followed by a flush, give a
   // barrier that can return one event early many chances to show it.
-  EventProcessor Processor(asyncOptions(64, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(64));
   CopyCountTool Tool;
   Processor.addTool(&Tool);
 
@@ -198,7 +143,7 @@ TEST(AsyncPipeline, FlushWaitsForTheLastEventOfEveryBurst) {
 }
 
 TEST(AsyncPipeline, PerProducerOrderIsPreserved) {
-  EventProcessor Processor(asyncOptions(128, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(128));
   CollectTool Tool;
   Processor.addTool(&Tool);
 
@@ -228,7 +173,7 @@ TEST(AsyncPipeline, PerProducerOrderIsPreserved) {
 }
 
 TEST(AsyncPipeline, SynchronizationIsAHardBarrier) {
-  EventProcessor Processor(asyncOptions(1024, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(1024));
   CollectTool Tool;
   Processor.addTool(&Tool);
 
@@ -246,7 +191,7 @@ TEST(AsyncPipeline, SynchronizationIsAHardBarrier) {
 }
 
 TEST(AsyncPipeline, QueuedKernelDescOutlivesProducerFrame) {
-  EventProcessor Processor(asyncOptions(256, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(256));
 
   class NameTool : public Tool {
   public:
@@ -286,103 +231,6 @@ TEST(AsyncPipeline, QueuedKernelDescOutlivesProducerFrame) {
 }
 
 //===----------------------------------------------------------------------===//
-// Overflow policies
-//===----------------------------------------------------------------------===//
-
-TEST(AsyncPipeline, DropNewestCountsAndNeverBlocks) {
-  constexpr std::size_t Depth = 8;
-  EventProcessor Processor(asyncOptions(Depth, OverflowPolicy::DropNewest));
-  GateTool Gate;
-  CollectTool Tool;
-  Processor.addTool(&Gate);
-  Processor.addTool(&Tool);
-
-  // One event wedges the dispatch thread in the gate; everything past
-  // the queue capacity must be dropped, not block this thread.
-  // (MemoryCopy: the lossy policies only apply to standard-class kinds.)
-  constexpr std::uint64_t Sent = 200;
-  for (std::uint64_t I = 0; I < Sent; ++I)
-    Processor.process(copyEvent(I));
-  Gate.release();
-  Processor.flush();
-
-  ProcessorStats Stats = Processor.stats();
-  EXPECT_GT(Stats.EventsDropped, 0u);
-  EXPECT_LE(Stats.MaxQueueDepth, Depth);
-  // Conservation: every event was either dispatched or dropped.
-  EXPECT_EQ(Stats.EventsProcessed + Stats.EventsDropped, Sent);
-  EXPECT_EQ(Tool.Addresses.size(), Stats.EventsProcessed);
-}
-
-TEST(AsyncPipeline, ResourceEventsAreNeverDroppedOrSampled) {
-  // Admission classes: resource events (allocations, frees, tensors)
-  // bypass the lossy policies — they wait for space like Block — so
-  // every tool's allocation view stays consistent under loss.
-  constexpr std::size_t Depth = 8;
-  EventProcessor Processor(asyncOptions(Depth, OverflowPolicy::DropNewest));
-  GateTool Gate;
-  CollectTool Tool;
-  Processor.addTool(&Gate);
-  Processor.addTool(&Tool);
-
-  // The producer overflows the gated queue with resource events; since
-  // they block for space, the gate must be opened from this thread once
-  // the queue has demonstrably filled.
-  constexpr std::uint64_t Sent = 100;
-  std::thread Producer([&Processor] {
-    for (std::uint64_t I = 0; I < Sent; ++I)
-      Processor.process(allocEvent(I));
-  });
-  while (Processor.stats().MaxQueueDepth < Depth)
-    std::this_thread::yield();
-  Gate.release();
-  Producer.join();
-  Processor.flush();
-
-  ProcessorStats Stats = Processor.stats();
-  EXPECT_EQ(Stats.EventsDropped, 0u);
-  EXPECT_EQ(Stats.EventsSampledOut, 0u);
-  EXPECT_EQ(Stats.EventsProcessed, Sent);
-  EXPECT_EQ(Tool.Addresses.size(), Sent);
-}
-
-TEST(AsyncPipeline, SampleKeepsOneInNOfTheOverflow) {
-  constexpr std::size_t Depth = 8;
-  constexpr std::uint64_t EveryN = 4;
-  EventProcessor Processor(
-      asyncOptions(Depth, OverflowPolicy::Sample, EveryN));
-  GateTool Gate;
-  CollectTool Tool;
-  Processor.addTool(&Gate);
-  Processor.addTool(&Tool);
-
-  // The admitted 1/N of overflowing events block for space, so they must
-  // be sent from a separate producer while this thread opens the gate.
-  constexpr std::uint64_t Sent = 200;
-  std::thread Producer([&Processor] {
-    for (std::uint64_t I = 0; I < Sent; ++I)
-      Processor.process(copyEvent(I));
-  });
-  // Only open the gate once overflow sampling has demonstrably started;
-  // otherwise the consumer could drain as fast as the producer fills.
-  while (Processor.stats().EventsSampledOut == 0)
-    std::this_thread::yield();
-  Gate.release();
-  Producer.join();
-  Processor.flush();
-
-  ProcessorStats Stats = Processor.stats();
-  EXPECT_GT(Stats.EventsSampledOut, 0u);
-  EXPECT_EQ(Stats.EventsDropped, 0u);
-  // Conservation: dispatched + sampled out covers everything sent.
-  EXPECT_EQ(Stats.EventsProcessed + Stats.EventsSampledOut, Sent);
-  // Of E overflowing events, ceil(E/N) are admitted, so no more than
-  // (N-1)/N of everything sent can have been sampled out.
-  EXPECT_LE(Stats.EventsSampledOut, Sent * (EveryN - 1) / EveryN);
-  EXPECT_EQ(Tool.Addresses.size(), Stats.EventsProcessed);
-}
-
-//===----------------------------------------------------------------------===//
 // Ticketed ring queue (RingQueueTest.* is in the CI TSan filter)
 //===----------------------------------------------------------------------===//
 
@@ -397,24 +245,21 @@ Event addressEvent(sim::DeviceAddr Address) {
 
 } // namespace
 
-TEST(RingQueueTest, MultiProducerOrderAndConservationUnderDropChurn) {
-  // Direct queue stress: 4 producers against a slow consumer with the
-  // DropNewest policy. Per-producer FIFO must hold for whatever is
-  // delivered, producers must never block, and the conservation
-  // invariant (delivered + dropped == sent) must hold exactly.
-  constexpr std::uint64_t PerProducer = 5000;
+TEST(RingQueueTest, BlockProducersParkAndLoseNothing) {
+  // Spin window of zero: every full-ring producer parks immediately —
+  // the futex-style waiter path gets real traffic, and the drain-side
+  // targeted wakeups must release every parked producer. Each address
+  // carries (producer, sequence), so parking must not reorder either.
+  constexpr std::uint64_t PerProducer = 2000;
   constexpr std::uint64_t ProducerCount = 4;
-  EventQueue Queue(/*Capacity=*/32, OverflowPolicy::DropNewest,
-                   /*SampleEveryN=*/1, /*SpinIterations=*/4);
+  EventQueue Queue(/*Capacity=*/8, /*SpinIterations=*/0);
 
   std::vector<sim::DeviceAddr> Delivered;
   std::thread Consumer([&] {
     std::vector<Event> Batch;
-    while (Queue.dequeueBatch(Batch)) {
+    while (Queue.dequeueBatch(Batch))
       for (const Event &E : Batch)
         Delivered.push_back(E.Address);
-      std::this_thread::yield(); // keep the queue overflowing
-    }
   });
 
   std::vector<std::thread> Producers;
@@ -425,160 +270,67 @@ TEST(RingQueueTest, MultiProducerOrderAndConservationUnderDropChurn) {
     });
   for (std::thread &T : Producers)
     T.join();
-  Queue.close();
-  Consumer.join();
-
-  EventQueueCounters Counters = Queue.counters();
-  EXPECT_EQ(Counters.Enqueued + Counters.Dropped,
-            ProducerCount * PerProducer);
-  EXPECT_EQ(Delivered.size(), Counters.Enqueued);
-  EXPECT_GT(Counters.Dropped, 0u);
-  EXPECT_LE(Counters.MaxDepth, 32u);
-  // Per-producer order of the delivered subsequence.
-  std::uint64_t LastSeq[ProducerCount];
-  bool Seen[ProducerCount] = {false, false, false, false};
-  for (sim::DeviceAddr Address : Delivered) {
-    std::uint64_t P = Address >> 32;
-    std::uint64_t Seq = Address & 0xffffffffu;
-    ASSERT_LT(P, ProducerCount);
-    if (Seen[P]) {
-      EXPECT_GT(Seq, LastSeq[P]) << "producer " << P;
-    }
-    Seen[P] = true;
-    LastSeq[P] = Seq;
-  }
-}
-
-TEST(RingQueueTest, BlockProducersParkAndLoseNothing) {
-  // Spin window of zero: every full-ring producer parks immediately —
-  // the futex-style waiter path gets real traffic, and the drain-side
-  // targeted wakeups must release every parked producer.
-  constexpr std::uint64_t PerProducer = 2000;
-  constexpr std::uint64_t ProducerCount = 4;
-  EventQueue Queue(/*Capacity=*/8, OverflowPolicy::Block,
-                   /*SampleEveryN=*/1, /*SpinIterations=*/0);
-
-  std::atomic<std::uint64_t> Delivered{0};
-  std::thread Consumer([&] {
-    std::vector<Event> Batch;
-    while (Queue.dequeueBatch(Batch))
-      Delivered.fetch_add(Batch.size());
-  });
-
-  std::vector<std::thread> Producers;
-  for (std::uint64_t P = 0; P < ProducerCount; ++P)
-    Producers.emplace_back([&Queue] {
-      for (std::uint64_t Seq = 0; Seq < PerProducer; ++Seq)
-        Queue.enqueue(addressEvent(Seq));
-    });
-  for (std::thread &T : Producers)
-    T.join();
   Queue.waitDrained();
   Queue.close();
   Consumer.join();
 
   EventQueueCounters Counters = Queue.counters();
-  EXPECT_EQ(Delivered.load(), ProducerCount * PerProducer);
+  EXPECT_EQ(Delivered.size(), ProducerCount * PerProducer);
   EXPECT_EQ(Counters.Enqueued, ProducerCount * PerProducer);
   EXPECT_EQ(Counters.Dropped, 0u);
   EXPECT_GT(Counters.Spins, 0u);
   EXPECT_GT(Counters.Parks, 0u) << "depth 8 with 4 producers and spin 0 "
                                    "must actually park";
   EXPECT_LE(Counters.MaxDepth, 8u);
+  // Per-producer FIFO: each producer's events arrive as 0..PerProducer-1,
+  // in order, whatever the interleaving across producers.
+  std::uint64_t NextSeq[ProducerCount] = {0, 0, 0, 0};
+  for (sim::DeviceAddr Address : Delivered) {
+    std::uint64_t P = Address >> 32;
+    ASSERT_LT(P, ProducerCount);
+    ASSERT_EQ(Address & 0xffffffffu, NextSeq[P]) << "producer " << P;
+    ++NextSeq[P];
+  }
+  for (std::uint64_t P = 0; P < ProducerCount; ++P)
+    EXPECT_EQ(NextSeq[P], PerProducer) << "producer " << P;
 }
 
 TEST(RingQueueTest, NonPowerOfTwoCapacityIsEnforcedExactly) {
-  // The backing ring rounds up to a power of two; the logical capacity
-  // must not.
-  EventQueue Queue(/*Capacity=*/6, OverflowPolicy::DropNewest,
-                   /*SampleEveryN=*/1, /*SpinIterations=*/0);
-  for (std::uint64_t Seq = 0; Seq < 20; ++Seq)
+  // The backing ring rounds up to a power of two (8 slots); the logical
+  // capacity must not: six events fill the queue, and a seventh parks
+  // until the consumer frees space.
+  EventQueue Queue(/*Capacity=*/6, /*SpinIterations=*/0);
+  for (std::uint64_t Seq = 0; Seq < 6; ++Seq)
     Queue.enqueue(addressEvent(Seq));
+  std::thread Producer([&Queue] { Queue.enqueue(addressEvent(6)); });
+  while (Queue.counters().Parks == 0)
+    std::this_thread::yield();
   EventQueueCounters Counters = Queue.counters();
-  EXPECT_EQ(Counters.Enqueued, 6u);
-  EXPECT_EQ(Counters.Dropped, 14u);
+  EXPECT_EQ(Counters.Parks, 1u);
   EXPECT_EQ(Counters.MaxDepth, 6u);
 
-  std::vector<Event> Batch;
-  EXPECT_TRUE(Queue.dequeueBatch(Batch));
-  ASSERT_EQ(Batch.size(), 6u);
-  for (std::uint64_t Seq = 0; Seq < 6; ++Seq)
-    EXPECT_EQ(Batch[Seq].Address, Seq);
-}
-
-TEST(RingQueueTest, SampleCounterIsPerProducerThread) {
-  // The Sample policy's modular counter is per producer thread, not a
-  // shared atomic: each producer independently keeps 1/N of the
-  // overflow *it* produces. Two producers each send N-1 overflowing
-  // events into a full ring with no consumer — per-producer counting
-  // samples all of them out without blocking, deterministically. (With
-  // the old shared counter, the combined 2(N-1) >= N overflow events
-  // would tip the counter over N and one producer would block for
-  // space that never comes.)
-  constexpr std::uint64_t EveryN = 3;
-  constexpr std::size_t Capacity = 4;
-  EventQueue Queue(Capacity, OverflowPolicy::Sample, EveryN,
-                   /*SpinIterations=*/0);
-  for (std::uint64_t Seq = 0; Seq < Capacity; ++Seq)
-    Queue.enqueue(addressEvent(Seq));
-  ASSERT_EQ(Queue.counters().Enqueued, Capacity);
-
-  std::vector<std::thread> Producers;
-  for (int P = 0; P < 2; ++P)
-    Producers.emplace_back([&Queue] {
-      for (std::uint64_t Seq = 0; Seq < EveryN - 1; ++Seq)
-        Queue.enqueue(addressEvent(1000 + Seq));
-    });
-  for (std::thread &T : Producers)
-    T.join();
-
-  EventQueueCounters Counters = Queue.counters();
-  EXPECT_EQ(Counters.Enqueued, Capacity);
-  EXPECT_EQ(Counters.SampledOut, 2 * (EveryN - 1));
-  EXPECT_EQ(Counters.Dropped, 0u);
+  std::vector<Event> First;
+  std::vector<Event> Second;
+  EXPECT_TRUE(Queue.dequeueBatch(First));
+  // The parked seventh claimed its ticket before this close, so it is
+  // still delivered (and a wrong first batch cannot hang the test).
   Queue.close();
-}
-
-TEST(RingQueueTest, SampleConservationAcrossManyProducers) {
-  // Drop accounting must still sum exactly with per-producer counters:
-  // enqueued + dropped + sampled-out == sent, whatever the interleaving.
-  constexpr std::uint64_t PerProducer = 4000;
-  constexpr std::uint64_t ProducerCount = 4;
-  constexpr std::uint64_t EveryN = 4;
-  EventQueue Queue(/*Capacity=*/16, OverflowPolicy::Sample, EveryN,
-                   /*SpinIterations=*/4);
-
-  std::atomic<std::uint64_t> Delivered{0};
-  std::thread Consumer([&] {
-    std::vector<Event> Batch;
-    while (Queue.dequeueBatch(Batch)) {
-      Delivered.fetch_add(Batch.size());
-      std::this_thread::yield(); // keep the queue overflowing
-    }
-  });
-
-  std::vector<std::thread> Producers;
-  for (std::uint64_t P = 0; P < ProducerCount; ++P)
-    Producers.emplace_back([&Queue, P] {
-      for (std::uint64_t Seq = 0; Seq < PerProducer; ++Seq)
-        Queue.enqueue(addressEvent((P << 32) | Seq));
-    });
-  for (std::thread &T : Producers)
-    T.join();
-  Queue.waitDrained();
-  Queue.close();
-  Consumer.join();
-
-  EventQueueCounters Counters = Queue.counters();
-  EXPECT_EQ(Counters.Enqueued + Counters.Dropped + Counters.SampledOut,
-            ProducerCount * PerProducer);
-  EXPECT_EQ(Delivered.load(), Counters.Enqueued);
-  EXPECT_EQ(Counters.Dropped, 0u); // Sample never drops before close()
+  EXPECT_TRUE(Queue.dequeueBatch(Second));
+  Producer.join();
+  auto AddressesOf = [](const std::vector<Event> &Batch) {
+    std::vector<sim::DeviceAddr> Out;
+    for (const Event &E : Batch)
+      Out.push_back(E.Address);
+    return Out;
+  };
+  EXPECT_EQ(AddressesOf(First),
+            (std::vector<sim::DeviceAddr>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(AddressesOf(Second), (std::vector<sim::DeviceAddr>{6}));
+  EXPECT_EQ(Queue.counters().MaxDepth, 6u);
 }
 
 TEST(RingQueueTest, EnqueueAfterCloseIsCountedAsDropped) {
-  EventQueue Queue(/*Capacity=*/8, OverflowPolicy::Block,
-                   /*SampleEveryN=*/1);
+  EventQueue Queue(/*Capacity=*/8);
   Queue.enqueue(addressEvent(1));
   Queue.enqueue(addressEvent(2));
   Queue.close();
@@ -598,8 +350,7 @@ TEST(RingQueueTest, WaitDrainedCoversDispatchNotJustDequeue) {
   // waitDrained must hold until the consumer is *between* batches —
   // i.e. the previous batch was fully dispatched — not merely until
   // the ring is empty.
-  EventQueue Queue(/*Capacity=*/64, OverflowPolicy::Block,
-                   /*SampleEveryN=*/1, /*SpinIterations=*/0);
+  EventQueue Queue(/*Capacity=*/64, /*SpinIterations=*/0);
   std::atomic<std::uint64_t> Dispatched{0};
   std::thread Consumer([&] {
     std::vector<Event> Batch;
@@ -679,7 +430,7 @@ public:
 } // namespace
 
 TEST(AsyncPipeline, SubscriptionRoutingSkipsNonSubscribers) {
-  EventProcessor Processor(asyncOptions(64, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(64));
   LaunchOnlyTool Launches;
   CollectTool Everything;
   Processor.addTool(&Launches);
@@ -705,8 +456,7 @@ TEST(AsyncPipeline, ShardedDispatchDeliversEverythingInPerDeviceOrder) {
   constexpr std::size_t LaneCount = 4;
   constexpr int Devices = 8;
   constexpr std::uint64_t PerDeviceEvents = 250;
-  EventProcessor Processor(
-      asyncOptions(256, OverflowPolicy::Block, 4, LaneCount));
+  EventProcessor Processor(asyncOptions(256, LaneCount));
   ASSERT_EQ(Processor.laneCount(), LaneCount);
   ConcurrentCountTool Count;
   ShardedOrderTool Order;
@@ -743,8 +493,7 @@ TEST(AsyncPipeline, ShardedDispatchDeliversEverythingInPerDeviceOrder) {
 TEST(AsyncPipeline, SerialToolsKeepPinnedLaneOrderAcrossManyLanes) {
   // A Serial tool must see its subscribed events in admission order even
   // when other tools spread across many lanes.
-  EventProcessor Processor(
-      asyncOptions(128, OverflowPolicy::Block, 4, /*DispatchThreads=*/4));
+  EventProcessor Processor(asyncOptions(128, /*DispatchThreads=*/4));
   CollectTool Serial; // all kinds, Serial
   ConcurrentCountTool Concurrent;
   Processor.addTool(&Serial);
@@ -762,7 +511,7 @@ TEST(AsyncPipeline, SerialToolsKeepPinnedLaneOrderAcrossManyLanes) {
 }
 
 TEST(AsyncPipeline, AddToolAfterPipelineStartPublishesNewEpoch) {
-  EventProcessor Processor(asyncOptions(64, OverflowPolicy::Block));
+  EventProcessor Processor(asyncOptions(64));
   CollectTool Tool;
   ASSERT_TRUE(Processor.addTool(&Tool));
 
@@ -843,10 +592,7 @@ std::string runFixedWorkload(bool Async, std::size_t DispatchThreads = 1,
       .iterations(1)
       .recordGranularity(1u << 20);
   if (Async)
-    Builder.asyncEvents()
-        .queueDepth(64)
-        .overflowPolicy(OverflowPolicy::Block)
-        .dispatchThreads(DispatchThreads);
+    Builder.asyncEvents().queueDepth(64).dispatchThreads(DispatchThreads);
   std::unique_ptr<Session> S = Builder.build(Err);
   EXPECT_NE(S, nullptr) << Err.message();
   if (!S)
@@ -928,16 +674,12 @@ TEST(SessionBuilder, AsyncKnobValidation) {
             nullptr);
   EXPECT_NE(Err.message().find("queue depth"), std::string::npos);
   SessionError Err2;
-  EXPECT_EQ(SessionBuilder().asyncEvents().sampleEveryN(0).build(Err2),
+  EXPECT_EQ(SessionBuilder().asyncEvents().dispatchThreads(0).build(Err2),
             nullptr);
-  EXPECT_NE(Err2.message().find("sample"), std::string::npos);
+  EXPECT_NE(Err2.message().find("dispatch thread"), std::string::npos);
   SessionError Err3;
-  EXPECT_EQ(SessionBuilder().asyncEvents().dispatchThreads(0).build(Err3),
-            nullptr);
-  EXPECT_NE(Err3.message().find("dispatch thread"), std::string::npos);
-  SessionError Err4;
   EXPECT_EQ(
-      SessionBuilder().asyncEvents().dispatchThreads(65).build(Err4),
+      SessionBuilder().asyncEvents().dispatchThreads(65).build(Err3),
       nullptr);
-  EXPECT_NE(Err4.message().find("dispatch thread"), std::string::npos);
+  EXPECT_NE(Err3.message().find("dispatch thread"), std::string::npos);
 }

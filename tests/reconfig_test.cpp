@@ -18,9 +18,6 @@
 //  * random reconfiguration schedules never drop or duplicate events;
 //  * detach racing flush and concurrent producers is safe (this suite
 //    runs under TSan in CI);
-//  * the Sample policy's per-producer memo restarts its 1/N cadence for
-//    every fresh queue, even when one thread creates and destroys many
-//    queues whose ids collide in the thread-local memo;
 //  * the daemon's control verbs (attach-tool / detach-tool /
 //    list-tenants) reconfigure tenant sessions end to end, including
 //    over the control socket.
@@ -28,7 +25,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "pasta/EventProcessor.h"
-#include "pasta/EventQueue.h"
 #include "pasta/Session.h"
 #include "pasta/Validate.h"
 #include "serve/Aggregator.h"
@@ -127,7 +123,6 @@ ProcessorOptions asyncOptions(std::size_t Depth, std::size_t Threads = 1) {
   Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = Depth;
-  Opts.Overflow = OverflowPolicy::Block;
   Opts.DispatchThreads = Threads;
   return Opts;
 }
@@ -379,34 +374,6 @@ TEST(Reconfig, DetachRacingFlushAndProducersIsSafe) {
     ++NextSeq[P];
   }
   EXPECT_EQ(Processor.stats().EventsDropped, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Sample-policy memo lifetime
-//===----------------------------------------------------------------------===//
-
-TEST(Reconfig, SampleMemoRestartsCadenceForEveryFreshQueue) {
-  // One thread creating and destroying many queues: each fresh queue's
-  // 1/N overflow cadence must start at zero. 40 iterations walk the
-  // queue id across every slot of the thread-local memo, so a stale
-  // entry surviving destruction (the historical bug) would be
-  // resurrected mid-count and admit an event early — observable as a
-  // SampledOut undercount (and a producer wedged in awaitSpace).
-  for (int Iteration = 0; Iteration < 40; ++Iteration) {
-    EventQueue Queue(/*Capacity=*/1, OverflowPolicy::Sample,
-                     /*SampleEveryN=*/4, /*SpinIterations=*/0);
-    // Fill the ring so every standard-class enqueue below overflows.
-    Queue.enqueue(allocEvent(0), /*Critical=*/true);
-    // A fresh cadence counts these as Seen == 1 and 2: both sampled out
-    // (the first admit would be Seen == 4).
-    Queue.enqueue(copyEvent(1));
-    Queue.enqueue(copyEvent(2));
-    EventQueueCounters Counters = Queue.counters();
-    ASSERT_EQ(Counters.SampledOut, 2u) << "iteration " << Iteration;
-    ASSERT_EQ(Counters.Enqueued, 1u) << "iteration " << Iteration;
-    ASSERT_EQ(Counters.Dropped, 0u) << "iteration " << Iteration;
-    Queue.close();
-  }
 }
 
 //===----------------------------------------------------------------------===//

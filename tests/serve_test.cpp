@@ -29,6 +29,7 @@
 #include "serve/TenantRegistry.h"
 #include "serve/TraceStreamSink.h"
 #include "support/Env.h"
+#include "support/Logging.h"
 #include "support/ReportSink.h"
 #include "tools/StreamForwardTool.h"
 
@@ -1322,6 +1323,53 @@ TEST(ServeSessionTest, RegistryForwarderWithoutSocketRunsUnstreamed) {
       static_cast<tools::StreamForwardTool *>(S->tool("stream_forward"));
   ASSERT_NE(Forward, nullptr);
   EXPECT_EQ(Forward->writerStats().Events, 0u);
+}
+
+TEST(ServeSessionTest, FailedReconnectStreamWarnsTruncatedAtFinish) {
+  // A 1-byte spill budget cannot retain a frame, so the reconnect
+  // forwarder loses its resume; when the daemon then stops mid-stream
+  // the sink fails for good and closes its socket. onFinish must still
+  // warn that the aggregator saw a truncated stream.
+  setLogLevel(LogLevel::Warning);
+  ServeOptions Opts = makeOpts();
+  Opts.SocketPath = tempPath("truncated", ".sock");
+  Opts.ReportDir = tempPath("truncated_reports", "");
+  auto Agg = std::make_unique<Aggregator>(Opts);
+  SessionError Err;
+  ASSERT_TRUE(Agg->start(Err)) << Err.message();
+
+  StreamClientOptions ClientOpts;
+  ClientOpts.Reconnect = true;
+  ClientOpts.SpillMaxBytes = 1;
+  tools::StreamForwardTool Forward(Opts.SocketPath, "truncated");
+  Forward.setClientOptions(ClientOpts);
+  ASSERT_TRUE(Forward.openNow(Err)) << Err.message();
+  // Each half is several ~32 KiB frames, so the sink sends (and fails
+  // to spill) before the stop and notices the dead peer after it.
+  std::vector<Event> Events = makeEvents(4000);
+  std::size_t Half = Events.size() / 2;
+  for (std::size_t I = 0; I < Half; ++I)
+    Forward.onEvent(Events[I]);
+  Agg->requestStop();
+  Agg->wait();
+  Agg.reset();
+  for (std::size_t I = Half; I < Events.size(); ++I)
+    Forward.onEvent(Events[I]);
+
+  ::testing::internal::CaptureStderr();
+  Forward.onFinish();
+  std::string Said = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(Said.find("truncated"), std::string::npos) << Said;
+
+  // A forwarder that never connected already warned at onStart.
+  ClientOpts.ConnectTimeoutSeconds = 0.1;
+  tools::StreamForwardTool Orphan(tempPath("nobody_listening", ".sock"),
+                                  "orphan");
+  Orphan.setClientOptions(ClientOpts);
+  Orphan.onStart();
+  ::testing::internal::CaptureStderr();
+  Orphan.onFinish();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(ServeSessionTest, AggregatorRejectsUnknownToolAtStart) {
