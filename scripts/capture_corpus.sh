@@ -6,17 +6,12 @@
 # simulator runs on virtual time, the workload generators are seeded),
 # so the trace bytes and the replayed reports are stable across runs
 # and machines. CI replays every checked-in trace and byte-diffs each
-# report against its checked-in golden (see check_corpus.sh); any
-# wire-format or tool-output change must regenerate the corpus in the
-# same commit and explain the diff in review.
+# report against its checked-in golden (see check_corpus.sh), and
+# re-captures every trace and byte-compares it (see check_capture.sh);
+# any wire-format or tool-output change must regenerate the corpus in
+# the same commit and explain the diff in review.
 #
-# Corpus membership (tests/corpus/README.md documents the growth
-# workflow): one small CNN, two transformer workloads (bert, and gpt2
-# standing in for the Megatron-class decoders built by
-# src/dl/Megatron.cpp), and a UVM-heavy managed capture. Every trace
-# carries goldens for at least two tools; the first tool of each trace
-# additionally pins the csv and text sinks so all three ReportSink
-# formats are regression-anchored.
+# The members and the capture command live in corpus_members.sh.
 #
 # Usage: scripts/capture_corpus.sh [path/to/accelprof]
 set -eu
@@ -24,6 +19,7 @@ set -eu
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 ACCELPROF=${1:-"$REPO_ROOT/build/accelprof"}
 CORPUS="$REPO_ROOT/tests/corpus"
+. "$REPO_ROOT/scripts/corpus_members.sh"
 
 if [ ! -x "$ACCELPROF" ]; then
   echo "error: accelprof not found at $ACCELPROF (build first)" >&2
@@ -38,14 +34,13 @@ mkdir -p "$CORPUS"
 # <name>.<tool>.golden.json for every listed tool, plus
 # <name>.<first-tool>.golden.{csv,txt} so the non-JSON sinks stay
 # anchored too. The gate (check_corpus.sh) discovers goldens by
-# filename, so adding a workload here is the whole corpus-growth step.
+# filename, so adding a member to corpus_members.sh is the whole
+# corpus-growth step.
 capture() {
   NAME=$1
   TOOLS=$2
   shift 2
-  # (--capture attaches the trace_capture tool itself; no -t needed.)
-  "$ACCELPROF" -b cs-gpu -g A100 \
-    --capture "$CORPUS/$NAME.trace" "$@" >/dev/null
+  capture_corpus_trace "$ACCELPROF" "$CORPUS/$NAME.trace" "$@"
   FIRST=1
   for TOOL in $TOOLS; do
     "$ACCELPROF" -t "$TOOL" -b replay --trace "$CORPUS/$NAME.trace" \
@@ -60,27 +55,7 @@ capture() {
   done
 }
 
-# AlexNet inference, 2 iterations: small enough to check in (~40 KiB),
-# rich enough to exercise every payload table (kernels, op names,
-# layer names).
-capture alexnet_a100_2iter "kernel_frequency op_kernel_map" \
-  --iters 2 alexnet
-
-# BERT inference: the encoder-transformer workload from the model zoo
-# (deep schedule, many distinct kernels).
-capture bert_a100_1iter "kernel_frequency op_kernel_map" \
-  --iters 1 bert
-
-# GPT-2 inference: decoder transformer, standing in for the
-# Megatron-class workloads (the Megatron schedule builder reuses the
-# same GPT-2 blocks).
-capture gpt2_a100_1iter "kernel_frequency op_kernel_map" \
-  --iters 1 gpt2
-
-# UVM-heavy: managed allocations route through the UVM model, so this
-# trace carries migration/advice traffic the flat captures never see.
-capture alexnet_a100_uvm "mem_usage_timeline barrier_stall" \
-  --iters 2 --managed alexnet
+corpus_members capture
 
 echo "corpus regenerated:"
 ls -l "$CORPUS"

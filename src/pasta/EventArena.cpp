@@ -45,14 +45,25 @@ std::ostream &pasta::operator<<(std::ostream &Out, const PayloadString &S) {
 
 namespace {
 
-/// FNV-1a, the content hash behind the sharded intern tables and the
-/// thread-local memo.
+/// FNV-1a over 8-byte words, the content hash behind the sharded intern
+/// tables, the thread-local memo and TraceWriter's payload tables. Each
+/// step folds in one host-order word (a short tail is zero-padded; the
+/// callers hash lengths before variable-size data, so padding cannot
+/// make two payloads collide). Only finalizeHash's output is used.
 class ContentHash {
 public:
   void bytes(const void *Data, std::size_t Size) {
     const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (std::size_t I = 0; I < Size; ++I)
-      State = (State ^ P[I]) * 1099511628211ull;
+    for (; Size >= 8; P += 8, Size -= 8) {
+      std::uint64_t Word;
+      std::memcpy(&Word, P, 8);
+      step(Word);
+    }
+    if (Size != 0) {
+      std::uint64_t Word = 0;
+      std::memcpy(&Word, P, Size);
+      step(Word);
+    }
   }
   void u64(std::uint64_t Value) { bytes(&Value, sizeof(Value)); }
   void f64(double Value) { bytes(&Value, sizeof(Value)); }
@@ -63,6 +74,8 @@ public:
   std::uint64_t value() const { return State; }
 
 private:
+  void step(std::uint64_t Word) { State = (State ^ Word) * 1099511628211ull; }
+
   std::uint64_t State = 14695981039346656037ull;
 };
 
@@ -94,21 +107,6 @@ std::uint64_t hashFrames(const std::vector<std::string> &Frames) {
   return finalizeHash(H.value());
 }
 
-std::uint64_t hashKernel(const sim::KernelDesc &K) {
-  ContentHash H;
-  H.str(K.Name);
-  H.u64(K.Grid.count());
-  H.u64(K.Block.count());
-  H.f64(K.Flops);
-  H.u64(K.Segments.size());
-  for (const sim::AccessSegment &Seg : K.Segments) {
-    H.u64(Seg.Base);
-    H.u64(Seg.Extent);
-    H.u64(Seg.AccessBytes);
-  }
-  return finalizeHash(H.value());
-}
-
 bool dimEqual(const sim::Dim3 &A, const sim::Dim3 &B) {
   return A.X == B.X && A.Y == B.Y && A.Z == B.Z;
 }
@@ -128,7 +126,24 @@ bool segmentEqual(const sim::AccessSegment &A,
          A.Space == B.Space;
 }
 
-bool kernelEqual(const sim::KernelDesc &A, const sim::KernelDesc &B) {
+} // namespace
+
+std::uint64_t pasta::hashKernel(const sim::KernelDesc &K) {
+  ContentHash H;
+  H.str(K.Name);
+  H.u64(K.Grid.count());
+  H.u64(K.Block.count());
+  H.f64(K.Flops);
+  H.u64(K.Segments.size());
+  for (const sim::AccessSegment &Seg : K.Segments) {
+    H.u64(Seg.Base);
+    H.u64(Seg.Extent);
+    H.u64(Seg.AccessBytes);
+  }
+  return finalizeHash(H.value());
+}
+
+bool pasta::kernelEqual(const sim::KernelDesc &A, const sim::KernelDesc &B) {
   if (A.Name != B.Name || !dimEqual(A.Grid, B.Grid) ||
       !dimEqual(A.Block, B.Block) || !bitEqual(A.Flops, B.Flops) ||
       !bitEqual(A.ComputeInstrsPerAccess, B.ComputeInstrsPerAccess) ||
@@ -142,6 +157,8 @@ bool kernelEqual(const sim::KernelDesc &A, const sim::KernelDesc &B) {
       return false;
   return true;
 }
+
+namespace {
 
 std::uint64_t stackBytes(const std::vector<std::string> &Frames) {
   std::uint64_t Total = Frames.size() * sizeof(std::string);

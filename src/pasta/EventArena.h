@@ -276,6 +276,16 @@ private:
   mutable std::atomic<std::uint64_t> HashCache{0};
 };
 
+/// The avalanched content hash of a kernel descriptor (name, launch
+/// sizes, FLOPs, segments) — the key of the arena's kernel tables and of
+/// TraceWriter's KernelDef table. Equal descriptors hash equal; a match
+/// is confirmed with kernelEqual.
+std::uint64_t hashKernel(const sim::KernelDesc &K);
+
+/// Field-for-field descriptor equality, doubles compared bitwise (a NaN
+/// equals itself, +0.0 differs from -0.0), so it agrees with hashKernel.
+bool kernelEqual(const sim::KernelDesc &A, const sim::KernelDesc &B);
+
 /// Arena occupancy and effectiveness counters (snapshot via
 /// EventArena::stats(); surfaced through ProcessorStats and the
 /// event_pipeline report as arena.* metrics).

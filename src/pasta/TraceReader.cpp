@@ -7,8 +7,10 @@
 #include "pasta/TraceReader.h"
 
 #include "pasta/Events.h"
+#include "pasta/TraceEventHead.h"
 #include "pasta/TraceFormat.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -28,79 +30,61 @@ std::string hex32(std::uint32_t Value) {
 /// references (0 = absent); validity against the tables is checked by
 /// the caller, which knows the current table sizes.
 struct RawEvent {
-  std::uint8_t Kind = 0;
-  std::uint8_t Vendor = 0;
-  std::int32_t DeviceIndex = 0;
-  std::uint32_t Stream = 0;
-  std::uint64_t Timestamp = 0;
-  std::uint64_t Address = 0;
-  std::uint64_t Bytes = 0;
-  std::uint8_t Managed = 0;
-  std::uint8_t Direction = 0;
-  std::uint64_t GridId = 0;
-  std::uint32_t KernelId = 0;
-  std::uint64_t PoolAllocated = 0;
-  std::uint64_t PoolReserved = 0;
-  std::uint32_t OpNameId = 0;
-  std::uint32_t LayerNameId = 0;
-  std::uint8_t Phase = 0;
-  std::uint32_t StackId = 0;
-  bool HasTensor = false;
-  dl::TensorInfo Tensor;
+  EventHead Head;
+  /// The decoded tensor tail, built once as the shared descriptor the
+  /// event adopts; null when the record has none.
+  std::shared_ptr<const dl::TensorInfo> Tensor;
 };
 
-/// Parses one event-record body. Returns false (with \p Problem set) on
-/// any structural or range violation; the caller prefixes file/offset.
-bool parseEventBody(ByteReader &Cursor, RawEvent &Raw, std::string &Problem) {
-  std::uint8_t HasTensor = 0;
-  if (!Cursor.readU8(Raw.Kind) || !Cursor.readU8(Raw.Vendor) ||
-      !Cursor.readI32(Raw.DeviceIndex) || !Cursor.readU32(Raw.Stream) ||
-      !Cursor.readU64(Raw.Timestamp) || !Cursor.readU64(Raw.Address) ||
-      !Cursor.readU64(Raw.Bytes) || !Cursor.readU8(Raw.Managed) ||
-      !Cursor.readU8(Raw.Direction) || !Cursor.readU64(Raw.GridId) ||
-      !Cursor.readU32(Raw.KernelId) || !Cursor.readU64(Raw.PoolAllocated) ||
-      !Cursor.readU64(Raw.PoolReserved) || !Cursor.readU32(Raw.OpNameId) ||
-      !Cursor.readU32(Raw.LayerNameId) || !Cursor.readU8(Raw.Phase) ||
-      !Cursor.readU32(Raw.StackId) || !Cursor.readU8(HasTensor)) {
+/// Parses one event-record body of \p Length bytes at \p Body. Returns
+/// false (with \p Problem set) on any structural or range violation; the
+/// caller prefixes file/offset.
+bool parseEventBody(const unsigned char *Body, std::size_t Length,
+                    RawEvent &Raw, std::string &Problem) {
+  if (Length < EventHead::Size) {
     Problem = "event record body shorter than its fixed fields";
     return false;
   }
-  if (Raw.Kind >= NumEventKinds) {
-    Problem = "invalid event kind " + std::to_string(Raw.Kind);
+  EventHead &Head = Raw.Head;
+  Head.load(Body);
+  if (Head.Kind >= NumEventKinds) {
+    Problem = "invalid event kind " + std::to_string(Head.Kind);
     return false;
   }
-  if (Raw.Vendor > 1) {
-    Problem = "invalid vendor " + std::to_string(Raw.Vendor);
+  if (Head.Vendor > 1) {
+    Problem = "invalid vendor " + std::to_string(Head.Vendor);
     return false;
   }
-  if (Raw.Managed > 1) {
-    Problem = "invalid managed flag " + std::to_string(Raw.Managed);
+  if (Head.Managed > 1) {
+    Problem = "invalid managed flag " + std::to_string(Head.Managed);
     return false;
   }
-  if (Raw.Direction > 2) {
-    Problem = "invalid copy direction " + std::to_string(Raw.Direction);
+  if (Head.Direction > 2) {
+    Problem = "invalid copy direction " + std::to_string(Head.Direction);
     return false;
   }
-  if (Raw.Phase > 2) {
-    Problem = "invalid exec phase " + std::to_string(Raw.Phase);
+  if (Head.Phase > 2) {
+    Problem = "invalid exec phase " + std::to_string(Head.Phase);
     return false;
   }
-  if (HasTensor > 1) {
-    Problem = "invalid tensor flag " + std::to_string(HasTensor);
+  if (Head.HasTensor > 1) {
+    Problem = "invalid tensor flag " + std::to_string(Head.HasTensor);
     return false;
   }
-  Raw.HasTensor = HasTensor == 1;
-  if (Raw.HasTensor) {
+  ByteReader Cursor(Body + EventHead::Size, Length - EventHead::Size);
+  if (Head.HasTensor == 1) {
+    auto Tensor = std::make_shared<dl::TensorInfo>();
     std::uint64_t Id = 0;
-    std::string Name;
     std::uint32_t Rank = 0;
-    if (!Cursor.readU64(Id) || !Cursor.readString(Name) ||
+    if (!Cursor.readU64(Id) || !Cursor.readString(Tensor->Name) ||
         !Cursor.readU32(Rank)) {
       Problem = "truncated tensor descriptor";
       return false;
     }
     std::vector<std::int64_t> Dims;
-    Dims.reserve(Rank);
+    // A corrupt rank must not size the allocation: only as many dims
+    // as the body can hold are reserved.
+    Dims.reserve(std::min<std::size_t>(Rank, Cursor.remaining() / 8));
     for (std::uint32_t I = 0; I < Rank; ++I) {
       std::int64_t Dim = 0;
       if (!Cursor.readI64(Dim)) {
@@ -130,13 +114,13 @@ bool parseEventBody(ByteReader &Cursor, RawEvent &Raw, std::string &Problem) {
       Problem = "invalid tensor role " + std::to_string(Role);
       return false;
     }
-    Raw.Tensor.Id = Id;
-    Raw.Tensor.Name = std::move(Name);
-    Raw.Tensor.Shape = dl::TensorShape(std::move(Dims));
-    Raw.Tensor.Type = static_cast<dl::DataType>(Type);
-    Raw.Tensor.Role = static_cast<dl::TensorRole>(Role);
-    Raw.Tensor.Address = Address;
-    Raw.Tensor.DeviceIndex = DeviceIndex;
+    Tensor->Id = Id;
+    Tensor->Shape = dl::TensorShape(std::move(Dims));
+    Tensor->Type = static_cast<dl::DataType>(Type);
+    Tensor->Role = static_cast<dl::TensorRole>(Role);
+    Tensor->Address = Address;
+    Tensor->DeviceIndex = DeviceIndex;
+    Raw.Tensor = std::move(Tensor);
   }
   if (!Cursor.atEnd()) {
     Problem = "event record body longer than its fields";
@@ -182,7 +166,9 @@ std::string decodeStackDef(const unsigned char *Body, std::uint32_t Length,
     return "non-sequential stack id " + std::to_string(Id) + " at offset " +
            std::to_string(RecordOffset) + ": expected " +
            std::to_string(NextId);
-  Frames.reserve(FrameCount);
+  // Each frame takes at least its u32 length: a corrupt count must not
+  // size the allocation.
+  Frames.reserve(std::min<std::size_t>(FrameCount, Cursor.remaining() / 4));
   for (std::uint32_t I = 0; I < FrameCount; ++I) {
     std::string Frame;
     if (!Cursor.readString(Frame))
@@ -219,7 +205,10 @@ std::string decodeKernelDef(const unsigned char *Body, std::uint32_t Length,
             Cursor.readU64(Kernel.SharedMemPerBlock) &&
             Cursor.readU32(SegmentCount);
   if (Ok) {
-    Kernel.Segments.reserve(SegmentCount);
+    // A segment is 26 bytes: a corrupt count must not size the
+    // allocation.
+    Kernel.Segments.reserve(
+        std::min<std::size_t>(SegmentCount, Cursor.remaining() / 26));
     for (std::uint32_t I = 0; Ok && I < SegmentCount; ++I) {
       sim::AccessSegment Seg;
       std::uint8_t Kind = 0;
@@ -272,54 +261,56 @@ std::string endCountMismatch(const EndCounts &Counts, std::size_t Events,
          " were read";
 }
 
-std::string checkEventRefs(const RawEvent &Raw, std::size_t NumStrings,
+std::string checkEventRefs(const EventHead &Head, std::size_t NumStrings,
                            std::size_t NumStacks, std::size_t NumKernels,
                            std::size_t RecordOffset) {
-  if (Raw.KernelId > NumKernels)
+  if (Head.KernelId > NumKernels)
     return "event at offset " + std::to_string(RecordOffset) +
-           " references unknown kernel id " + std::to_string(Raw.KernelId);
-  if (Raw.OpNameId > NumStrings || Raw.LayerNameId > NumStrings)
+           " references unknown kernel id " + std::to_string(Head.KernelId);
+  if (Head.OpNameId > NumStrings || Head.LayerNameId > NumStrings)
     return "event at offset " + std::to_string(RecordOffset) +
            " references unknown string id " +
-           std::to_string(Raw.OpNameId > NumStrings ? Raw.OpNameId
-                                                    : Raw.LayerNameId);
-  if (Raw.StackId > NumStacks)
+           std::to_string(Head.OpNameId > NumStrings ? Head.OpNameId
+                                                     : Head.LayerNameId);
+  if (Head.StackId > NumStacks)
     return "event at offset " + std::to_string(RecordOffset) +
-           " references unknown stack id " + std::to_string(Raw.StackId);
+           " references unknown stack id " + std::to_string(Head.StackId);
   return std::string();
 }
 
 /// Resolves a validated RawEvent against the payload tables. The
 /// handles the tables hold are what the event carries — canonical
-/// arena handles when the tables were interned.
+/// arena handles when the tables were interned — and the event adopts
+/// the decoded tensor descriptor as it is.
 Event materializeEvent(
-    const RawEvent &Raw, const std::vector<PayloadString> &Strings,
+    RawEvent &Raw, const std::vector<PayloadString> &Strings,
     const std::vector<PayloadStack> &Stacks,
     const std::vector<std::shared_ptr<const sim::KernelDesc>> &Kernels) {
+  const EventHead &Head = Raw.Head;
   Event E;
-  E.Kind = static_cast<EventKind>(Raw.Kind);
-  E.Vendor = static_cast<sim::VendorKind>(Raw.Vendor);
-  E.DeviceIndex = Raw.DeviceIndex;
-  E.Stream = Raw.Stream;
-  E.Timestamp = Raw.Timestamp;
-  E.Address = Raw.Address;
-  E.Bytes = Raw.Bytes;
-  E.Managed = Raw.Managed == 1;
-  E.Direction = static_cast<CopyDirection>(Raw.Direction);
-  E.GridId = Raw.GridId;
-  E.PoolAllocated = Raw.PoolAllocated;
-  E.PoolReserved = Raw.PoolReserved;
-  E.Phase = static_cast<dl::ExecPhase>(Raw.Phase);
-  if (Raw.KernelId)
-    E.adoptKernel(Kernels[Raw.KernelId - 1]);
-  if (Raw.OpNameId)
-    E.OpName = Strings[Raw.OpNameId - 1];
-  if (Raw.LayerNameId)
-    E.LayerName = Strings[Raw.LayerNameId - 1];
-  if (Raw.StackId)
-    E.PythonStack = Stacks[Raw.StackId - 1];
-  if (Raw.HasTensor)
-    E.adoptTensor(EventArena::pinTensor(Raw.Tensor));
+  E.Kind = static_cast<EventKind>(Head.Kind);
+  E.Vendor = static_cast<sim::VendorKind>(Head.Vendor);
+  E.DeviceIndex = Head.DeviceIndex;
+  E.Stream = Head.Stream;
+  E.Timestamp = Head.Timestamp;
+  E.Address = Head.Address;
+  E.Bytes = Head.Bytes;
+  E.Managed = Head.Managed == 1;
+  E.Direction = static_cast<CopyDirection>(Head.Direction);
+  E.GridId = Head.GridId;
+  E.PoolAllocated = Head.PoolAllocated;
+  E.PoolReserved = Head.PoolReserved;
+  E.Phase = static_cast<dl::ExecPhase>(Head.Phase);
+  if (Head.KernelId)
+    E.adoptKernel(Kernels[Head.KernelId - 1]);
+  if (Head.OpNameId)
+    E.OpName = Strings[Head.OpNameId - 1];
+  if (Head.LayerNameId)
+    E.LayerName = Strings[Head.LayerNameId - 1];
+  if (Head.StackId)
+    E.PythonStack = Stacks[Head.StackId - 1];
+  if (Raw.Tensor)
+    E.adoptTensor(std::move(Raw.Tensor));
   return E;
 }
 
@@ -419,7 +410,6 @@ bool TraceReader::scan(SessionError &Err) {
       return fail(Err,
                   "truncated record at offset " + std::to_string(RecordOffset));
     std::size_t BodyOffset = Cursor.pos();
-    ByteReader Body(Buffer.data() + BodyOffset, Length);
     Cursor.skip(Length);
 
     switch (static_cast<RecordTag>(Tag)) {
@@ -456,17 +446,18 @@ bool TraceReader::scan(SessionError &Err) {
     case RecordTag::EventRecord: {
       RawEvent Raw;
       std::string Problem;
-      if (!parseEventBody(Body, Raw, Problem))
+      if (!parseEventBody(Buffer.data() + BodyOffset, Length, Raw, Problem))
         return fail(Err, Problem + " in event record at offset " +
                              std::to_string(RecordOffset));
-      Problem = checkEventRefs(Raw, StringTable.size(), StackTable.size(),
-                               KernelTable.size(), RecordOffset);
+      Problem = checkEventRefs(Raw.Head, StringTable.size(),
+                               StackTable.size(), KernelTable.size(),
+                               RecordOffset);
       if (!Problem.empty())
         return fail(Err, Problem);
       if (EventSpans.empty())
-        Info.FirstTimestamp = Raw.Timestamp;
-      Info.LastTimestamp = Raw.Timestamp;
-      if (static_cast<EventKind>(Raw.Kind) == EventKind::KernelLaunch)
+        Info.FirstTimestamp = Raw.Head.Timestamp;
+      Info.LastTimestamp = Raw.Head.Timestamp;
+      if (static_cast<EventKind>(Raw.Head.Kind) == EventKind::KernelLaunch)
         ++Info.KernelLaunches;
       EventSpans.push_back({BodyOffset, Length});
       break;
@@ -539,12 +530,12 @@ void TraceReader::forEachEvent(EventArena *Arena,
   }
 
   for (const EventSpan &Span : EventSpans) {
-    ByteReader Body(Buffer.data() + Span.Offset, Span.Length);
     RawEvent Raw;
     std::string Problem;
     // scan() already validated every record; a parse failure here would
     // mean the buffer changed underneath us.
-    if (!parseEventBody(Body, Raw, Problem))
+    if (!parseEventBody(Buffer.data() + Span.Offset, Span.Length, Raw,
+                        Problem))
       continue;
     Event E = materializeEvent(Raw, Strings, Stacks, Kernels);
     Fn(E);
@@ -608,20 +599,19 @@ bool TraceStreamDecoder::decodeRecord(std::uint8_t Tag,
     return true;
   }
   case RecordTag::EventRecord: {
-    ByteReader Cursor(Body, Length);
     RawEvent Raw;
     std::string Problem;
-    if (!parseEventBody(Cursor, Raw, Problem))
+    if (!parseEventBody(Body, Length, Raw, Problem))
       return fail(Err, Problem + " in event record at offset " +
                            std::to_string(RecordOffset));
-    Problem = checkEventRefs(Raw, Strings.size(), Stacks.size(),
+    Problem = checkEventRefs(Raw.Head, Strings.size(), Stacks.size(),
                              Kernels.size(), RecordOffset);
     if (!Problem.empty())
       return fail(Err, Problem);
     if (Info.Events == 0)
-      Info.FirstTimestamp = Raw.Timestamp;
-    Info.LastTimestamp = Raw.Timestamp;
-    if (static_cast<EventKind>(Raw.Kind) == EventKind::KernelLaunch)
+      Info.FirstTimestamp = Raw.Head.Timestamp;
+    Info.LastTimestamp = Raw.Head.Timestamp;
+    if (static_cast<EventKind>(Raw.Head.Kind) == EventKind::KernelLaunch)
       ++Info.KernelLaunches;
     ++Info.Events;
     Event E = materializeEvent(Raw, Strings, Stacks, Kernels);

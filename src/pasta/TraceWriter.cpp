@@ -7,6 +7,7 @@
 #include "pasta/TraceWriter.h"
 
 #include "pasta/Events.h"
+#include "pasta/TraceEventHead.h"
 #include "pasta/TraceFormat.h"
 
 #include <cerrno>
@@ -17,9 +18,9 @@ using namespace pasta::trace;
 
 namespace {
 
-/// Serialized KernelDesc body (without the table id) — doubles as the
-/// dedup key, so two descriptors are one table entry iff every encoded
-/// field matches.
+/// Serialized KernelDesc body (without the table id): the KernelDef
+/// layout. Two descriptors get one table entry iff kernelEqual holds,
+/// which compares exactly the fields encoded here.
 void encodeKernelBody(std::string &Out, const sim::KernelDesc &K) {
   appendString(Out, K.Name);
   appendU32(Out, K.Grid.X);
@@ -43,12 +44,43 @@ void encodeKernelBody(std::string &Out, const sim::KernelDesc &K) {
   }
 }
 
-/// Serialized stack frames (without the table id) — also the dedup key.
-void encodeStackBody(std::string &Out, const PayloadStack &Stack) {
-  const PayloadStack::FrameList &Frames = Stack.frames();
-  appendU32(Out, static_cast<std::uint32_t>(Frames.size()));
-  for (const std::string &Frame : Frames)
-    appendString(Out, Frame);
+/// The id in \p Ids under \p Hash whose payload \p Matches, or 0.
+template <typename MatchFn>
+std::uint32_t findId(const std::unordered_multimap<std::uint64_t,
+                                                   std::uint32_t> &Ids,
+                     std::uint64_t Hash, MatchFn Matches) {
+  auto Range = Ids.equal_range(Hash);
+  for (auto It = Range.first; It != Range.second; ++It)
+    if (Matches(It->second))
+      return It->second;
+  return 0;
+}
+
+/// Bytes of the inline tensor tail after the fixed head: u64 id, name
+/// string, u32 rank, i64 dims, u8 type, u8 role, u64 address, i32
+/// device.
+std::size_t tensorTailSize(const dl::TensorInfo &T) {
+  return 8 + 4 + T.Name.size() + 4 + 8 * T.Shape.dims().size() + 1 + 1 +
+         8 + 4;
+}
+
+void encodeTensorTail(unsigned char *P, const dl::TensorInfo &T) {
+  storeLE<8>(P, T.Id);
+  storeLE<4>(P + 8, T.Name.size());
+  P += 12;
+  std::memcpy(P, T.Name.data(), T.Name.size());
+  P += T.Name.size();
+  const std::vector<std::int64_t> &Dims = T.Shape.dims();
+  storeLE<4>(P, Dims.size());
+  P += 4;
+  for (std::int64_t Dim : Dims) {
+    storeLE<8>(P, static_cast<std::uint64_t>(Dim));
+    P += 8;
+  }
+  storeLE<1>(P, static_cast<std::uint8_t>(T.Type));
+  storeLE<1>(P + 1, static_cast<std::uint8_t>(T.Role));
+  storeLE<8>(P + 2, T.Address);
+  storeLE<4>(P + 10, static_cast<std::uint32_t>(T.DeviceIndex));
 }
 
 } // namespace
@@ -119,72 +151,89 @@ void TraceWriter::writeBytes(const char *Data, std::size_t Size) {
   Stats.BytesWritten += Size;
 }
 
-void TraceWriter::writeRecord(std::uint8_t Tag, const std::string &Body) {
-  std::string Prefix;
-  appendU8(Prefix, Tag);
-  appendU32(Prefix, static_cast<std::uint32_t>(Body.size()));
-  writeBytes(Prefix.data(), Prefix.size());
-  writeBytes(Body.data(), Body.size());
+void TraceWriter::beginRecord(std::uint8_t Tag) {
+  Scratch.clear();
+  appendU8(Scratch, Tag);
+  appendU32(Scratch, 0);
 }
 
-std::uint32_t TraceWriter::stringId(const std::string &Content) {
-  if (Content.empty())
+void TraceWriter::finishRecord() {
+  storeLE<4>(reinterpret_cast<unsigned char *>(&Scratch[1]),
+             Scratch.size() - RecordPrefixSize);
+  writeBytes(Scratch.data(), Scratch.size());
+}
+
+std::uint32_t TraceWriter::stringId(const PayloadString &S) {
+  if (S.empty())
     return 0;
   ++Stats.PayloadRefs;
-  auto It = StringIds.find(Content);
-  if (It != StringIds.end()) {
+  std::uint64_t Hash = S.contentHash();
+  if (std::uint32_t Id = findId(StringIds, Hash, [&](std::uint32_t Id) {
+        return Strings[Id - 1] == S;
+      })) {
     ++Stats.PayloadHits;
-    return It->second;
+    return Id;
   }
-  std::uint32_t Id = static_cast<std::uint32_t>(StringIds.size() + 1);
-  StringIds.emplace(Content, Id);
+  Strings.push_back(S);
+  std::uint32_t Id = static_cast<std::uint32_t>(Strings.size());
+  StringIds.emplace(Hash, Id);
   ++Stats.Strings;
-  std::string Body;
-  appendU32(Body, Id);
-  Body.append(Content);
-  writeRecord(static_cast<std::uint8_t>(RecordTag::StringDef), Body);
+  beginRecord(static_cast<std::uint8_t>(RecordTag::StringDef));
+  appendU32(Scratch, Id);
+  Scratch.append(S.str());
+  finishRecord();
   return Id;
 }
 
-std::uint32_t TraceWriter::stackId(const Event &E) {
-  if (E.PythonStack.empty())
+std::uint32_t TraceWriter::stackId(const PayloadStack &S) {
+  if (S.empty())
     return 0;
   ++Stats.PayloadRefs;
-  std::string Key;
-  encodeStackBody(Key, E.PythonStack);
-  auto It = StackIds.find(Key);
-  if (It != StackIds.end()) {
+  std::uint64_t Hash = S.contentHash();
+  if (std::uint32_t Id = findId(StackIds, Hash, [&](std::uint32_t Id) {
+        return Stacks[Id - 1] == S;
+      })) {
     ++Stats.PayloadHits;
-    return It->second;
+    return Id;
   }
-  std::uint32_t Id = static_cast<std::uint32_t>(StackIds.size() + 1);
-  StackIds.emplace(Key, Id);
+  Stacks.push_back(S);
+  std::uint32_t Id = static_cast<std::uint32_t>(Stacks.size());
+  StackIds.emplace(Hash, Id);
   ++Stats.Stacks;
-  std::string Body;
-  appendU32(Body, Id);
-  Body.append(Key);
-  writeRecord(static_cast<std::uint8_t>(RecordTag::StackDef), Body);
+  beginRecord(static_cast<std::uint8_t>(RecordTag::StackDef));
+  appendU32(Scratch, Id);
+  appendU32(Scratch, static_cast<std::uint32_t>(S.size()));
+  for (const std::string &Frame : S)
+    appendString(Scratch, Frame);
+  finishRecord();
   return Id;
 }
 
-std::uint32_t TraceWriter::kernelId(const Event &E) {
-  if (!E.Kernel)
+std::uint32_t TraceWriter::kernelId(const sim::KernelDesc *K) {
+  if (!K)
     return 0;
   ++Stats.PayloadRefs;
-  std::string Key;
-  encodeKernelBody(Key, *E.Kernel);
-  auto It = KernelIds.find(Key);
-  if (It != KernelIds.end()) {
+  if (LastKernelId != 0 && kernelEqual(Kernels[LastKernelId - 1], *K)) {
     ++Stats.PayloadHits;
-    return It->second;
+    return LastKernelId;
   }
-  std::uint32_t Id = static_cast<std::uint32_t>(KernelIds.size() + 1);
-  KernelIds.emplace(Key, Id);
+  std::uint64_t Hash = hashKernel(*K);
+  if (std::uint32_t Id = findId(KernelIds, Hash, [&](std::uint32_t Id) {
+        return kernelEqual(Kernels[Id - 1], *K);
+      })) {
+    ++Stats.PayloadHits;
+    LastKernelId = Id;
+    return Id;
+  }
+  Kernels.push_back(*K);
+  std::uint32_t Id = static_cast<std::uint32_t>(Kernels.size());
+  KernelIds.emplace(Hash, Id);
+  LastKernelId = Id;
   ++Stats.Kernels;
-  std::string Body;
-  appendU32(Body, Id);
-  Body.append(Key);
-  writeRecord(static_cast<std::uint8_t>(RecordTag::KernelDef), Body);
+  beginRecord(static_cast<std::uint8_t>(RecordTag::KernelDef));
+  appendU32(Scratch, Id);
+  encodeKernelBody(Scratch, *K);
+  finishRecord();
   return Id;
 }
 
@@ -192,59 +241,49 @@ void TraceWriter::append(const Event &E) {
   if ((!Out && !Sink) || WriteFailed)
     return;
   // Definitions must precede the first referencing event record.
-  std::uint32_t KernelRef = kernelId(E);
-  std::uint32_t OpNameRef = stringId(E.OpName.str());
-  std::uint32_t LayerNameRef = stringId(E.LayerName.str());
-  std::uint32_t StackRef = stackId(E);
+  EventHead Head;
+  Head.KernelId = kernelId(E.Kernel);
+  Head.OpNameId = stringId(E.OpName);
+  Head.LayerNameId = stringId(E.LayerName);
+  Head.StackId = stackId(E.PythonStack);
+  Head.Kind = static_cast<std::uint8_t>(E.Kind);
+  Head.Vendor = static_cast<std::uint8_t>(E.Vendor);
+  Head.DeviceIndex = E.DeviceIndex;
+  Head.Stream = E.Stream;
+  Head.Timestamp = E.Timestamp;
+  Head.Address = E.Address;
+  Head.Bytes = E.Bytes;
+  Head.Managed = E.Managed ? 1 : 0;
+  Head.Direction = static_cast<std::uint8_t>(E.Direction);
+  Head.GridId = E.GridId;
+  Head.PoolAllocated = E.PoolAllocated;
+  Head.PoolReserved = E.PoolReserved;
+  Head.Phase = static_cast<std::uint8_t>(E.Phase);
+  Head.HasTensor = E.Tensor ? 1 : 0;
 
-  Scratch.clear();
-  std::string &Body = Scratch;
-  appendU8(Body, static_cast<std::uint8_t>(E.Kind));
-  appendU8(Body, static_cast<std::uint8_t>(E.Vendor));
-  appendI32(Body, E.DeviceIndex);
-  appendU32(Body, E.Stream);
-  appendU64(Body, E.Timestamp);
-  appendU64(Body, E.Address);
-  appendU64(Body, E.Bytes);
-  appendU8(Body, E.Managed ? 1 : 0);
-  appendU8(Body, static_cast<std::uint8_t>(E.Direction));
-  appendU64(Body, E.GridId);
-  appendU32(Body, KernelRef);
-  appendU64(Body, E.PoolAllocated);
-  appendU64(Body, E.PoolReserved);
-  appendU32(Body, OpNameRef);
-  appendU32(Body, LayerNameRef);
-  appendU8(Body, static_cast<std::uint8_t>(E.Phase));
-  appendU32(Body, StackRef);
-  if (E.Tensor) {
-    appendU8(Body, 1);
-    const dl::TensorInfo &T = *E.Tensor;
-    appendU64(Body, T.Id);
-    appendString(Body, T.Name);
-    const std::vector<std::int64_t> &Dims = T.Shape.dims();
-    appendU32(Body, static_cast<std::uint32_t>(Dims.size()));
-    for (std::int64_t Dim : Dims)
-      appendI64(Body, Dim);
-    appendU8(Body, static_cast<std::uint8_t>(T.Type));
-    appendU8(Body, static_cast<std::uint8_t>(T.Role));
-    appendU64(Body, T.Address);
-    appendI32(Body, T.DeviceIndex);
-  } else {
-    appendU8(Body, 0);
-  }
-  writeRecord(static_cast<std::uint8_t>(RecordTag::EventRecord), Body);
+  // Prefix, head and tensor tail in one pass into one buffer.
+  std::size_t BodySize =
+      EventHead::Size + (E.Tensor ? tensorTailSize(*E.Tensor) : 0);
+  Scratch.resize(RecordPrefixSize + BodySize);
+  unsigned char *P = reinterpret_cast<unsigned char *>(&Scratch[0]);
+  storeLE<1>(P, static_cast<std::uint8_t>(RecordTag::EventRecord));
+  storeLE<4>(P + 1, BodySize);
+  Head.store(P + RecordPrefixSize);
+  if (E.Tensor)
+    encodeTensorTail(P + RecordPrefixSize + EventHead::Size, *E.Tensor);
+  writeBytes(Scratch.data(), Scratch.size());
   ++Stats.Events;
 }
 
 bool TraceWriter::finalize(SessionError &Err) {
   if (!Out && !Sink)
     return !WriteFailed;
-  std::string Body;
-  appendU64(Body, Stats.Events);
-  appendU32(Body, static_cast<std::uint32_t>(Stats.Strings));
-  appendU32(Body, static_cast<std::uint32_t>(Stats.Stacks));
-  appendU32(Body, static_cast<std::uint32_t>(Stats.Kernels));
-  writeRecord(static_cast<std::uint8_t>(RecordTag::End), Body);
+  beginRecord(static_cast<std::uint8_t>(RecordTag::End));
+  appendU64(Scratch, Stats.Events);
+  appendU32(Scratch, static_cast<std::uint32_t>(Stats.Strings));
+  appendU32(Scratch, static_cast<std::uint32_t>(Stats.Stacks));
+  appendU32(Scratch, static_cast<std::uint32_t>(Stats.Kernels));
+  finishRecord();
   bool CloseOk = true;
   if (Out) {
     CloseOk = std::fclose(Out) == 0;

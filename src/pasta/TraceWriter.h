@@ -12,7 +12,15 @@
 /// payload-definition record, and events reference it by u32 id. Dedup
 /// is keyed by *content* (not handle identity) so the writer is correct
 /// for both arena-interned events and sync-mode events whose payloads
-/// are per-event allocations.
+/// are per-event allocations — or one borrowed descriptor the producer
+/// rewrites between launches. The id tables are keyed by the arena's
+/// content hash (PayloadString/PayloadStack::contentHash, hashKernel)
+/// and a hit is confirmed by equality against the writer's own copy, so
+/// a payload is serialized only when it is new. Two payloads share an
+/// id exactly when their definition records would be the same bytes.
+///
+/// Each record (prefix, body) is encoded in one pass into one buffer and
+/// handed to the destination with one write.
 ///
 /// Usage: open(), append() per admitted event, finalize() to emit the
 /// required End record and close the file. All failures surface through
@@ -30,12 +38,15 @@
 #ifndef PASTA_PASTA_TRACEWRITER_H
 #define PASTA_PASTA_TRACEWRITER_H
 
+#include "pasta/EventArena.h"
 #include "pasta/SessionError.h"
+#include "sim/Kernel.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace pasta {
 
@@ -108,10 +119,17 @@ public:
   const TraceWriterStats &stats() const { return Stats; }
 
 private:
-  std::uint32_t stringId(const std::string &Content);
-  std::uint32_t stackId(const Event &E);
-  std::uint32_t kernelId(const Event &E);
-  void writeRecord(std::uint8_t Tag, const std::string &Body);
+  /// Content hash -> ids of the payloads with that hash (almost always
+  /// one); a candidate is confirmed against the writer's copy.
+  using IdIndex = std::unordered_multimap<std::uint64_t, std::uint32_t>;
+
+  std::uint32_t stringId(const PayloadString &S);
+  std::uint32_t stackId(const PayloadStack &S);
+  std::uint32_t kernelId(const sim::KernelDesc *K);
+  /// Starts a record in Scratch: the tag and a length finishRecord()
+  /// fills in once the body is appended.
+  void beginRecord(std::uint8_t Tag);
+  void finishRecord();
   void writeBytes(const char *Data, std::size_t Size);
 
   std::FILE *Out = nullptr;
@@ -120,13 +138,20 @@ private:
   std::string FilePath;
   bool WriteFailed = false;
   TraceWriterStats Stats;
-  /// Content-keyed id tables (ids start at 1; 0 means "absent").
-  /// Strings are keyed by their text, stacks and kernels by their
-  /// serialized body minus the id — bounded by distinct payloads.
-  std::unordered_map<std::string, std::uint32_t> StringIds;
-  std::unordered_map<std::string, std::uint32_t> StackIds;
-  std::unordered_map<std::string, std::uint32_t> KernelIds;
-  /// Reused body scratch to keep append() allocation-light.
+  /// Id tables (ids start at 1; 0 means "absent"), bounded by distinct
+  /// payloads. Strings and stacks keep a handle to the immutable payload
+  /// they were defined from; kernels keep a copy, because an event may
+  /// borrow a descriptor its producer rewrites for the next launch.
+  IdIndex StringIds;
+  IdIndex StackIds;
+  IdIndex KernelIds;
+  std::vector<PayloadString> Strings;
+  std::vector<PayloadStack> Stacks;
+  std::vector<sim::KernelDesc> Kernels;
+  /// The last kernel id referenced: launch and complete events come in
+  /// pairs, so it is checked before hashing.
+  std::uint32_t LastKernelId = 0;
+  /// Reused record buffer to keep append() allocation-free.
   std::string Scratch;
 };
 

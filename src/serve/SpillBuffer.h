@@ -64,6 +64,8 @@ public:
     return Frames.empty() ? NextSequence : Frames.front().Sequence;
   }
   std::uint64_t bytesRetained() const { return TotalBytes; }
+  /// The budget append() enforces (configure()'s value, 0 read as 1).
+  std::uint64_t maxBytes() const { return MaxBytes; }
   std::uint64_t ackWatermark() const { return AckWatermark; }
 
   /// Drops every frame.

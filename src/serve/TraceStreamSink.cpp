@@ -499,6 +499,20 @@ void TraceStreamSink::maybeReconnect() {
   NextAttempt = Clock::now() + backoffDelay(BackoffAttempt);
 }
 
+void TraceStreamSink::retainForResume(std::uint64_t Sequence,
+                                      std::uint32_t LenWord,
+                                      const std::string &Payload) {
+  if (Spill.append(Sequence, LenWord, Payload) || ResumeBroken)
+    return;
+  ResumeBroken = true;
+  logWarning("stream sink: spill buffer overflow: a " +
+             std::to_string(Payload.size()) +
+             "-byte frame does not fit the " +
+             std::to_string(Spill.maxBytes()) + "-byte budget (" +
+             std::to_string(Spill.bytesRetained()) +
+             " bytes unacked); a future reconnect cannot replay this stream");
+}
+
 bool TraceStreamSink::flushFrame() {
   if (Buffer.empty())
     return true;
@@ -507,12 +521,7 @@ bool TraceStreamSink::flushFrame() {
   bool SentByReplay = false;
 
   if (Opts.Reconnect) {
-    if (!Spill.append(Sequence, LenWord, Buffer) && !ResumeBroken) {
-      ResumeBroken = true;
-      logWarning("stream sink: spill buffer overflow at " +
-                 std::to_string(Spill.bytesRetained()) +
-                 " bytes; a future reconnect cannot replay this stream");
-    }
+    retainForResume(Sequence, LenWord, Buffer);
     if (Disconnected) {
       maybeReconnect();
       // A successful reconnect replayed every retained frame,
@@ -564,8 +573,7 @@ bool TraceStreamSink::appendMeta(const std::string &Payload) {
                           trace::StreamFrameMetaBit;
   bool SentByReplay = false;
   if (Opts.Reconnect) {
-    if (!Spill.append(Sequence, LenWord, Payload) && !ResumeBroken)
-      ResumeBroken = true;
+    retainForResume(Sequence, LenWord, Payload);
     if (Disconnected) {
       maybeReconnect();
       SentByReplay = Fd >= 0;

@@ -155,6 +155,11 @@ private:
   bool connectOnce(SessionError &Err);
   bool handshakeAndReplay(SessionError &Err);
   bool flushFrame();
+  /// Keeps a sent frame in the spill buffer for a later resume; the
+  /// first frame it cannot keep latches ResumeBroken with a warning
+  /// naming the frame size and the budget.
+  void retainForResume(std::uint64_t Sequence, std::uint32_t LenWord,
+                       const std::string &Payload);
   bool sendFrame(std::uint64_t Sequence, std::uint32_t LenWord,
                  const std::string &Payload);
   bool sendAll(const char *Data, std::size_t Size);

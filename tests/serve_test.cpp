@@ -1348,8 +1348,20 @@ TEST(ServeSessionTest, FailedReconnectStreamWarnsTruncatedAtFinish) {
   // to spill) before the stop and notices the dead peer after it.
   std::vector<Event> Events = makeEvents(4000);
   std::size_t Half = Events.size() / 2;
+  ::testing::internal::CaptureStderr();
   for (std::size_t I = 0; I < Half; ++I)
     Forward.onEvent(Events[I]);
+  // The overflow warning names the budget the spill buffer applies and
+  // the refused frame (a full 32 KiB coalesced frame), not the 0 bytes
+  // it holds.
+  std::string Overflow = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(Overflow.find("spill buffer overflow"), std::string::npos)
+      << Overflow;
+  EXPECT_NE(Overflow.find("the 1-byte budget"), std::string::npos)
+      << Overflow;
+  EXPECT_NE(Overflow.find(std::to_string(32 * 1024) + "-byte frame"),
+            std::string::npos)
+      << Overflow;
   Agg->requestStop();
   Agg->wait();
   Agg.reset();

@@ -19,6 +19,7 @@
 #include "pasta/Backend.h"
 #include "pasta/EventProcessor.h"
 #include "pasta/Session.h"
+#include "pasta/TraceEventHead.h"
 #include "pasta/TraceFormat.h"
 #include "pasta/TraceReader.h"
 #include "pasta/TraceWriter.h"
@@ -334,6 +335,78 @@ TEST(TraceFormatTest, EmptyTraceRoundTrips) {
   EXPECT_EQ(Calls, 0u);
 }
 
+TEST(TraceFormatTest, BorrowedMutableKernelAndFreshPayloadsDedupByContent) {
+  // The DL executor's shape: one mutable KernelDesc rewritten for every
+  // launch and passed borrowed (Event::Kernel points at it; nothing is
+  // adopted), and op names and stacks built fresh for every event. The
+  // writer must key by content: the pointer never changes, and no two
+  // payload handles are the same allocation.
+  sim::KernelDesc A = makeKernel("gemm_kernel");
+  sim::KernelDesc B = makeKernel("conv_kernel");
+  // C differs from A only in a field hashKernel leaves out, so the two
+  // share a content hash and only the equality check tells them apart.
+  sim::KernelDesc C = A;
+  C.StaticInstrs = A.StaticInstrs + 1;
+  ASSERT_EQ(hashKernel(A), hashKernel(C));
+  const std::vector<const sim::KernelDesc *> Content = {&A, &A, &B, &A, &C};
+  const std::vector<std::string> OpNames = {"aten::mm", "aten::mm",
+                                            "aten::conv2d", "aten::mm",
+                                            "aten::addmm"};
+
+  std::string Path = tempTracePath("borrowed");
+  TraceWriter Writer;
+  SessionError Err;
+  ASSERT_TRUE(Writer.open(Path, Err)) << Err.message();
+  sim::KernelDesc Live;
+  for (std::size_t I = 0; I < Content.size(); ++I) {
+    Live = *Content[I];
+    Event E;
+    E.Kind = EventKind::KernelLaunch;
+    E.GridId = I + 1;
+    E.Kernel = &Live;
+    E.OpName = PayloadString(std::string(OpNames[I]));
+    E.PythonStack = PayloadStack(PayloadStack::FrameList{
+        "train.py:42 step", "model.py:" + std::to_string(7 + I % 2)});
+    ASSERT_EQ(E.ownedKernel(), nullptr);
+    Writer.append(E);
+  }
+  ASSERT_TRUE(Writer.finalize(Err)) << Err.message();
+
+  // One definition per distinct content: kernels A, B, C; op names mm,
+  // conv2d, addmm; stacks ending model.py:7 and model.py:8.
+  const TraceWriterStats &Stats = Writer.stats();
+  EXPECT_EQ(Stats.Events, 5u);
+  EXPECT_EQ(Stats.Kernels, 3u);
+  EXPECT_EQ(Stats.Strings, 3u);
+  EXPECT_EQ(Stats.Stacks, 2u);
+  EXPECT_EQ(Stats.PayloadRefs, 15u);
+  EXPECT_EQ(Stats.PayloadHits, 15u - 3u - 3u - 2u);
+
+  TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Path, Err)) << Err.message();
+  EXPECT_EQ(Reader.info().Kernels, 3u);
+  EXPECT_EQ(Reader.info().Strings, 3u);
+  EXPECT_EQ(Reader.info().Stacks, 2u);
+  std::vector<Event> Got;
+  Reader.forEachEvent(nullptr, [&](Event &E) { Got.push_back(E); });
+  ASSERT_EQ(Got.size(), Content.size());
+  for (std::size_t I = 0; I < Got.size(); ++I) {
+    ASSERT_NE(Got[I].Kernel, nullptr);
+    EXPECT_TRUE(kernelEqual(*Got[I].Kernel, *Content[I])) << "event " << I;
+    EXPECT_EQ(Got[I].OpName, OpNames[I]);
+    EXPECT_EQ(Got[I].PythonStack[1], "model.py:" + std::to_string(7 + I % 2));
+  }
+  // Repeats reuse the first id: the reader hands out one table entry
+  // per id, so a reused id is a shared descriptor or string.
+  EXPECT_EQ(Got[1].Kernel, Got[0].Kernel);
+  EXPECT_EQ(Got[3].Kernel, Got[0].Kernel);
+  EXPECT_NE(Got[2].Kernel, Got[0].Kernel);
+  EXPECT_NE(Got[4].Kernel, Got[0].Kernel);
+  EXPECT_TRUE(Got[3].OpName.sharesStorageWith(Got[0].OpName));
+  EXPECT_TRUE(Got[4].PythonStack.sharesStorageWith(Got[0].PythonStack));
+  EXPECT_FALSE(Got[1].PythonStack.sharesStorageWith(Got[0].PythonStack));
+}
+
 //===----------------------------------------------------------------------===//
 // TraceRobustnessTest: corruption, truncation, version mismatch
 //===----------------------------------------------------------------------===//
@@ -568,6 +641,103 @@ TEST(TraceRobustnessTest, DanglingPayloadReferenceIsRejected) {
   EXPECT_NE(Err.message().find("references unknown kernel id 9"),
             std::string::npos)
       << Err.message();
+}
+
+namespace {
+
+/// Outcome of one decode: "" when accepted, else the diagnostic with
+/// its "trace file '<path>': " / "trace stream: " prefix removed.
+std::string fileVerdict(const std::string &Path,
+                        const std::vector<unsigned char> &Bytes) {
+  writeFileBytes(Path, Bytes);
+  TraceReader Reader;
+  SessionError Err;
+  if (Reader.open(Path, Err))
+    return std::string();
+  std::string Prefix = "trace file '" + Path + "': ";
+  EXPECT_EQ(Err.message().compare(0, Prefix.size(), Prefix), 0)
+      << Err.message();
+  return Err.message().substr(Prefix.size());
+}
+
+std::string streamVerdict(const std::vector<unsigned char> &Bytes,
+                          std::size_t Chunk) {
+  TraceStreamDecoder Decoder(nullptr);
+  SessionError Err;
+  bool Ok = true;
+  for (std::size_t At = 0; Ok && At < Bytes.size(); At += Chunk)
+    Ok = Decoder.feed(Bytes.data() + At, std::min(Chunk, Bytes.size() - At),
+                      [](Event &) {}, Err);
+  if (Ok && Decoder.finish(Err))
+    return std::string();
+  const std::string Prefix = "trace stream: ";
+  EXPECT_EQ(Err.message().compare(0, Prefix.size(), Prefix), 0)
+      << Err.message();
+  return Err.message().substr(Prefix.size());
+}
+
+} // namespace
+
+TEST(TraceRobustnessTest, EventBodyByteFlipsAgreeAcrossFileAndStream) {
+  // The file reader and the stream decoder share one event-record
+  // parser. Flip every byte of one event body — a record with a tensor
+  // tail and one without — and both must accept or reject alike, with
+  // the same diagnostic after their prefixes; the decoder must not care
+  // how the bytes were chunked.
+  std::string Path = tempTracePath("flip_src");
+  writeTrace(Path, makeRichStream(8));
+  std::vector<unsigned char> Pristine = readFileBytes(Path);
+
+  // Locate the first event body of each shape.
+  std::size_t WithTensor = 0, WithoutTensor = 0;
+  std::uint32_t WithTensorLength = 0;
+  trace::ByteReader Cursor(Pristine.data(), Pristine.size());
+  Cursor.skip(trace::HeaderSize);
+  while (!Cursor.atEnd()) {
+    std::uint8_t Tag = 0;
+    std::uint32_t Length = 0;
+    ASSERT_TRUE(Cursor.readU8(Tag));
+    ASSERT_TRUE(Cursor.readU32(Length));
+    if (static_cast<trace::RecordTag>(Tag) == trace::RecordTag::EventRecord) {
+      if (Length > trace::EventHead::Size && WithTensor == 0) {
+        WithTensor = Cursor.pos();
+        WithTensorLength = Length;
+      }
+      if (Length == trace::EventHead::Size && WithoutTensor == 0)
+        WithoutTensor = Cursor.pos();
+    }
+    Cursor.skip(Length);
+  }
+  ASSERT_NE(WithTensor, 0u);
+  ASSERT_NE(WithoutTensor, 0u);
+
+  std::string Mutated = tempTracePath("flip_mut");
+  std::size_t Rejected = 0;
+  struct Body {
+    std::size_t Offset;
+    std::size_t Length;
+  };
+  for (Body Target : {Body{WithTensor, WithTensorLength},
+                      Body{WithoutTensor, trace::EventHead::Size}}) {
+    for (unsigned char Mask : {0xffu, 0x01u}) {
+      for (std::size_t I = 0; I < Target.Length; ++I) {
+        std::vector<unsigned char> Bytes = Pristine;
+        Bytes[Target.Offset + I] ^= Mask;
+        std::string File = fileVerdict(Mutated, Bytes);
+        std::vector<unsigned char> Stream = Bytes;
+        Stream[12] = static_cast<unsigned char>(trace::kFlagStreamed);
+        std::string Whole = streamVerdict(Stream, Stream.size());
+        std::string ByteWise = streamVerdict(Stream, 1);
+        EXPECT_EQ(File, Whole) << "body byte " << I << " ^ " << int(Mask)
+                               << " at offset " << Target.Offset;
+        EXPECT_EQ(Whole, ByteWise) << "body byte " << I << " ^ "
+                                   << int(Mask);
+        Rejected += File.empty() ? 0 : 1;
+      }
+    }
+  }
+  // Flips of enum codes, payload ids and the tensor tail are rejected.
+  EXPECT_GT(Rejected, 0u);
 }
 
 //===----------------------------------------------------------------------===//
