@@ -5,10 +5,8 @@ Produces a JSON artifact (BENCH_pr<N>.json for --pr N, checked in at the
 repo root) with the admission-path throughput sweep from
 bench_ablation_admission, the capture/replay throughput figures from
 bench_ablation_replay, the fleet-aggregation producer-overhead matrix
-from bench_ablation_serve, the epoch-routing steady-state overhead and
-swap latency from bench_ablation_reconfig, the fault-tolerance
-producer-overhead and chaos exactly-once record from
-bench_ablation_faults, the machine's
+from bench_ablation_serve, the fault-tolerance producer-overhead and
+chaos exactly-once record from bench_ablation_faults, the machine's
 hardware-thread count, plus pass/fail for the other ablation benches'
 structural gates — so every PR leaves a comparable perf record instead
 of a table that scrolls away in a terminal.
@@ -24,9 +22,9 @@ Usage:
 BENCH_pr<N>.json; without --pr, --out is required and "pr" is null.
 
 --smoke runs one small repetition (500 events/producer for admission,
-2000 events for replay, serve, and faults, 20000 for reconfig; no
-gated benches) — CI uses it so this script cannot rot; the numbers it
-records are for harness verification, not measurement.
+2000 events for replay, serve, and faults; no gated benches) — CI uses
+it so this script cannot rot; the numbers it records are for harness
+verification, not measurement.
 """
 
 import argparse
@@ -112,7 +110,6 @@ def main():
     replay_events = 2000 if args.smoke else 200000
     serve_events = 2000 if args.smoke else 50000
     faults_events = 2000 if args.smoke else 50000
-    reconfig_events = 20000 if args.smoke else 2000000
     record = {
         "pr": args.pr,
         "smoke": args.smoke,
@@ -126,9 +123,6 @@ def main():
                                 ["--events", str(serve_events)]),
         "faults": run_json_bench(args.build_dir, "bench_ablation_faults",
                                  ["--events", str(faults_events)]),
-        "reconfig": run_json_bench(args.build_dir,
-                                   "bench_ablation_reconfig",
-                                   ["--events", str(reconfig_events)]),
         "gated_benches": {} if args.smoke else run_gated(args.build_dir),
     }
 

@@ -5,15 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Live reconfiguration mechanics (see the header overview): producers
-// admit under the routing table published by the RoutingEpoch, holding
-// a striped admission-gate slot for the duration of one process() call
-// (or one record delivery). A reconfigurer raises the Reconfiguring
-// flag (seq_cst), waits for every gate stripe to hit zero — the
-// Dekker-style handshake with the producers' bump-then-check — drains
-// every lane so the old epoch is fully dispatched under its own table,
-// then builds, registers, and publishes the next table and releases
-// the gate. Producers that lose the handshake back out of their slot
-// and park on a condvar until the flag drops.
+// admit under the routing table published by the RoutingEpoch. The
+// caller keeps reconfiguration out of every process() call and record
+// delivery, so a swap only drains every lane — the old epoch is fully
+// dispatched under its own table — then builds, registers, and
+// publishes the next table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +20,6 @@
 #include "support/ReportSink.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 using namespace pasta;
@@ -40,15 +35,36 @@ struct LaneTag {
 };
 thread_local LaneTag CurrentLane;
 
-/// Marks a thread that is inside an admission guard of some processor
-/// (process() or a record delivery), so a tool hook running under it
-/// cannot re-enter reconfiguration on the same processor — the hook is
-/// the work the reconfiguration barrier waits on.
-struct AdmissionTag {
-  const EventProcessor *Owner = nullptr;
-  int Depth = 0;
+/// The processor the current thread is admitting into (a process() call
+/// or a record delivery), so a tool hook that runs there inline —
+/// synchronous dispatch, record hooks — cannot reconfigure it. Lane
+/// threads are told apart by CurrentLane.
+thread_local const EventProcessor *InlineDispatch = nullptr;
+
+/// One process() call or record delivery on \p P: marks the thread in
+/// InlineDispatch (restoring the outer marker on exit, so a hook may
+/// admit into another processor) and, when validating, counts the
+/// admission as in flight so a swap that overlaps it is reported.
+class AdmissionScope {
+public:
+  explicit AdmissionScope(const EventProcessor &P)
+      : Val(P.validator()), Saved(InlineDispatch) {
+    InlineDispatch = &P;
+    if (Val)
+      Val->beginAdmission();
+  }
+  ~AdmissionScope() {
+    InlineDispatch = Saved;
+    if (Val)
+      Val->endAdmission();
+  }
+  AdmissionScope(const AdmissionScope &) = delete;
+  AdmissionScope &operator=(const AdmissionScope &) = delete;
+
+private:
+  Validator *Val;
+  const EventProcessor *Saved;
 };
-thread_local AdmissionTag CurrentAdmission;
 
 ProcessorOptions withAnalysisThreads(std::size_t Threads) {
   ProcessorOptions Opts;
@@ -65,70 +81,8 @@ EventArenaOptions arenaOptionsOf(const ProcessorOptions &Opts) {
 
 } // namespace
 
-namespace pasta {
-
-/// RAII admission-gate entry: one uncontended seq_cst RMW on the
-/// per-thread stripe plus one flag load on the fast path. Re-entrant
-/// per processor (a tool hook admitting into its own processor rides
-/// the outer guard's handshake — it must not park, the reconfigurer is
-/// waiting on its slot).
-class ProcessorAdmissionGuard {
-public:
-  explicit ProcessorAdmissionGuard(EventProcessor &P)
-      : Slot(P.admissionSlot()) {
-    if (CurrentAdmission.Owner == &P && CurrentAdmission.Depth > 0) {
-      Slot.fetch_add(1, std::memory_order_seq_cst);
-      ++CurrentAdmission.Depth;
-      Nested = true;
-      return;
-    }
-    for (;;) {
-      Slot.fetch_add(1, std::memory_order_seq_cst);
-      if (!P.Reconfiguring.load(std::memory_order_seq_cst))
-        break;
-      // Lost the handshake: back out (the reconfigurer is scanning the
-      // stripes) and park until the swap completes.
-      Slot.fetch_sub(1, std::memory_order_seq_cst);
-      std::unique_lock<std::mutex> Lock(P.ReconfigMutex);
-      P.ReconfigCv.wait(Lock, [&P] {
-        return !P.Reconfiguring.load(std::memory_order_seq_cst);
-      });
-    }
-    Saved = CurrentAdmission;
-    CurrentAdmission = {&P, 1};
-  }
-
-  ~ProcessorAdmissionGuard() {
-    Slot.fetch_sub(1, std::memory_order_seq_cst);
-    if (Nested) {
-      --CurrentAdmission.Depth;
-      return;
-    }
-    CurrentAdmission = Saved;
-  }
-
-  ProcessorAdmissionGuard(const ProcessorAdmissionGuard &) = delete;
-  ProcessorAdmissionGuard &
-  operator=(const ProcessorAdmissionGuard &) = delete;
-
-private:
-  std::atomic<std::uint64_t> &Slot;
-  AdmissionTag Saved;
-  bool Nested = false;
-};
-
-} // namespace pasta
-
-std::atomic<std::uint64_t> &EventProcessor::admissionSlot() {
-  thread_local std::size_t Stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      AdmissionSlots;
-  return Gate[Stripe].Entries;
-}
-
 bool EventProcessor::inDispatchContext() const {
-  return CurrentLane.Owner == this ||
-         (CurrentAdmission.Owner == this && CurrentAdmission.Depth > 0);
+  return CurrentLane.Owner == this || InlineDispatch == this;
 }
 
 EventProcessor::EventProcessor(std::size_t DeviceAnalysisThreads)
@@ -169,9 +123,8 @@ bool EventProcessor::addTool(Tool *T) {
   if (inDispatchContext()) {
     logWarning("EventProcessor: addTool('" + T->name() +
                "') called from a dispatch-lane thread or a tool hook; "
-               "rejected (the caller is work the reconfiguration "
-               "barrier would wait on — reconfigure from outside the "
-               "pipeline)");
+               "rejected (the caller is an admission in flight — "
+               "reconfigure from outside the pipeline)");
     return false;
   }
   {
@@ -270,34 +223,20 @@ std::unique_ptr<RoutingTable> EventProcessor::buildTable() {
 }
 
 void EventProcessor::swapTable() {
-  // Engage the gate. seq_cst on both sides of the handshake: a producer
-  // that missed this store is visible in its stripe counter; a producer
-  // that saw it has backed out or never entered.
-  Reconfiguring.store(true, std::memory_order_seq_cst);
-  for (const AdmissionSlot &S : Gate)
-    while (S.Entries.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
+  // The validator's bracket spans the drain: an admission overlapping
+  // the swap is most likely seen as the swap begins, since a producer
+  // that keeps admitting also keeps the drain waiting.
+  if (Val)
+    Val->beginReconfiguration();
 
-  // Flush the draining epoch: with admission quiesced, every ticket in
-  // every ring was admitted under the old table, and the lanes read the
-  // epoch once per batch — waitDrained() returns only with the ring
-  // empty and the consumer parked between batches, so publication below
-  // cannot land mid-batch. Not counted in FlushCount: that metric
-  // tracks event-plane barriers, reconfigurations have their own.
-  if (!Lanes.empty()) {
-    std::vector<std::uint64_t> Admitted;
-    if (Val) {
-      Admitted.resize(Lanes.size());
-      for (std::size_t I = 0; I < Lanes.size(); ++I)
-        Admitted[I] = Lanes[I]->Queue->admittedTickets();
-    }
-    for (std::size_t I = 0; I < Lanes.size(); ++I) {
-      Lanes[I]->Queue->waitDrained();
-      if (Val)
-        Val->onFlushBarrier(I, Admitted[I],
-                            Lanes[I]->Queue->consumedTickets());
-    }
-  }
+  // Flush the draining epoch: with no admission in flight (the caller's
+  // side of the contract), every ticket in every ring was admitted under
+  // the old table, and the lanes read the epoch once per batch —
+  // waitDrained() returns only with the ring empty and the consumer
+  // parked between batches, so publication below cannot land mid-batch.
+  // Not counted in FlushCount: that metric tracks event-plane barriers,
+  // reconfigurations have their own.
+  drainLanes();
 
   std::unique_ptr<RoutingTable> Table = buildTable();
 
@@ -306,7 +245,6 @@ void EventProcessor::swapTable() {
   // sanctioned migration, not a lane-affinity violation); tools absent
   // from the new table are retired.
   if (Val) {
-    Val->beginReconfiguration();
     for (const ToolRouteEntry &Entry : Table->Entries)
       Val->registerTool(*Entry.T, Entry.Sub, Entry.Lane);
     Val->endReconfiguration();
@@ -322,14 +260,6 @@ void EventProcessor::swapTable() {
   Tables.push_back(std::move(Table));
   Epoch.publish(Tables.back().get());
   Core.Reconfigurations.fetch_add(1, std::memory_order_relaxed);
-
-  // Release the gate under the mutex so a parked producer cannot miss
-  // the flag drop between its predicate check and its wait.
-  {
-    std::lock_guard<std::mutex> Lock(ReconfigMutex);
-    Reconfiguring.store(false, std::memory_order_seq_cst);
-  }
-  ReconfigCv.notify_all();
 }
 
 CallStackBuilder &EventProcessor::callStacks() {
@@ -380,11 +310,10 @@ bool EventProcessor::admit(Event &E) {
 }
 
 void EventProcessor::process(Event E) {
-  // The guard pins the routing epoch logically: a reconfiguration
-  // either completed before this admission (we route with the new
-  // table) or waits for it (we route with the old one, and the swap's
-  // drain barrier delivers this event under it).
-  ProcessorAdmissionGuard AdmissionGuard(*this);
+  // No swap overlaps this call (the reconfiguration contract), so the
+  // table loaded below stays current until the event is enqueued, and a
+  // later swap's drain barrier delivers it under that table.
+  AdmissionScope Scope(*this);
   if (!admit(E))
     return;
   const RoutingTable &Table = *Epoch.current();
@@ -563,23 +492,26 @@ void EventProcessor::flush() {
   if (Lanes.empty())
     return;
   Core.FlushCount.fetch_add(1, std::memory_order_relaxed);
-  if (Val) {
-    // Barrier-ordering assertion: every ticket admitted before the
-    // barrier began must be consumed when waitDrained returns. The
-    // consumed counter is monotonic, so the check stays race-free even
-    // with other producers admitting concurrently.
-    std::vector<std::uint64_t> Admitted(Lanes.size());
-    for (std::size_t I = 0; I < Lanes.size(); ++I)
-      Admitted[I] = Lanes[I]->Queue->admittedTickets();
-    for (std::size_t I = 0; I < Lanes.size(); ++I) {
-      Lanes[I]->Queue->waitDrained();
-      Val->onFlushBarrier(I, Admitted[I],
-                          Lanes[I]->Queue->consumedTickets());
-    }
+  drainLanes();
+}
+
+void EventProcessor::drainLanes() {
+  if (!Val) {
+    for (auto &L : Lanes)
+      L->Queue->waitDrained();
     return;
   }
-  for (auto &L : Lanes)
-    L->Queue->waitDrained();
+  // Barrier-ordering assertion: every ticket admitted before the
+  // barrier began must be consumed when waitDrained returns. The
+  // consumed counter is monotonic, so the check stays race-free even
+  // with other producers admitting concurrently.
+  std::vector<std::uint64_t> Admitted(Lanes.size());
+  for (std::size_t I = 0; I < Lanes.size(); ++I)
+    Admitted[I] = Lanes[I]->Queue->admittedTickets();
+  for (std::size_t I = 0; I < Lanes.size(); ++I) {
+    Lanes[I]->Queue->waitDrained();
+    Val->onFlushBarrier(I, Admitted[I], Lanes[I]->Queue->consumedTickets());
+  }
 }
 
 void EventProcessor::annotationStart() {
@@ -687,18 +619,16 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
 
 void EventProcessor::onKernelBegin(const sim::LaunchInfo &Info) {
   (void)Info;
-  ProcessorAdmissionGuard AdmissionGuard(*this);
   flush();
 }
 
 void EventProcessor::onAccessBatch(const sim::LaunchInfo &Info,
                                    const sim::MemAccessRecord *Records,
                                    std::size_t Count) {
-  // The guard spans the whole delivery: record routing reads the
-  // current table, and the tools' record hooks must not observe a
-  // tool-set swap mid-batch. The reconfigurer waits on our gate slot;
-  // we only wait on lane drains, which progress independently.
-  ProcessorAdmissionGuard AdmissionGuard(*this);
+  // The scope spans the whole delivery: record routing reads the
+  // current table, and the tools' record hooks run inline on this
+  // thread.
+  AdmissionScope Scope(*this);
   flush(); // records must not run ahead of their coarse events
   if (!Filter.kernelActive(Info.GridId))
     return;
@@ -726,7 +656,7 @@ void EventProcessor::onAccessBatch(const sim::LaunchInfo &Info,
 
 void EventProcessor::onInstrMix(const sim::LaunchInfo &Info,
                                 const sim::InstrMix &Mix) {
-  ProcessorAdmissionGuard AdmissionGuard(*this);
+  AdmissionScope Scope(*this);
   flush();
   if (!Filter.kernelActive(Info.GridId))
     return;
@@ -737,7 +667,7 @@ void EventProcessor::onInstrMix(const sim::LaunchInfo &Info,
 
 void EventProcessor::onKernelEnd(const sim::LaunchInfo &Info,
                                  const sim::TraceTimeBreakdown &Breakdown) {
-  ProcessorAdmissionGuard AdmissionGuard(*this);
+  AdmissionScope Scope(*this);
   flush();
   if (!Filter.kernelActive(Info.GridId))
     return;

@@ -60,25 +60,30 @@
 /// Live reconfiguration (epoch-swapped routing tables): the tool set is
 /// NOT sealed at the first admitted event. Every producer admits under
 /// the routing table published by the RoutingEpoch (a single acquire
-/// load on the event path); addTool()/removeTool()/clearTools() quiesce
-/// admission behind a 64-slot entry-counter gate (a Dekker-style
-/// handshake: producers bump a striped counter and re-check the
-/// Reconfiguring flag, the reconfigurer sets the flag and waits for
-/// every counter to reach zero), flush the draining epoch through every
-/// lane (so every event admitted under epoch N is fully dispatched
-/// under epoch N's table), then build and publish table N+1 and release
-/// the gate. Retired tables stay resident until the
-/// processor is destroyed, so a reader that loaded table N is always
-/// safe to finish with it. Serial tools are re-pinned round-robin over
-/// the lanes only at this barrier (detaching an earlier-pinned Serial
-/// tool moves the later ones) — the sanctioned-migration point
+/// load on the event path); addTool()/removeTool()/clearTools() flush
+/// the draining epoch through every lane (so every event admitted under
+/// epoch N is fully dispatched under epoch N's table), then build and
+/// publish table N+1. Retired tables stay resident until the processor
+/// is destroyed, so a reader that loaded table N is always safe to
+/// finish with it. Serial tools are re-pinned round-robin over the
+/// lanes only at this barrier (detaching an earlier-pinned Serial tool
+/// moves the later ones) — the sanctioned-migration point
 /// PASTA_VALIDATE's lane-affinity checker is taught about.
 ///
+/// Reconfiguration contract: addTool()/removeTool()/clearTools() run
+/// only while no process() call or record delivery on this processor is
+/// in flight. The caller ensures it — the serve daemon reconfigures a
+/// tenant under the tenant lock that also serializes that tenant's
+/// admission, and Session::run() admits on its calling thread. flush()
+/// may still run concurrently, and admission itself stays safe from any
+/// number of producer threads. Nothing inside the processor waits for
+/// admissions to leave; PASTA_VALIDATE reports a swap that overlaps one
+/// (reconfigure-during-admission).
+///
 /// Reconfiguration entry points must not be called from a dispatch-lane
-/// thread or from inside a tool hook running under an admission guard
-/// (synchronous dispatch, record deliveries): the calling hook is part
-/// of the work the gate waits on, so the call is rejected with a
-/// diagnostic instead of self-deadlocking (the same contract flush()
+/// thread or from a tool hook running inline (synchronous dispatch,
+/// record deliveries): the calling hook is an admission in flight, so
+/// the call is rejected with a diagnostic (the same rule flush()
 /// enforces for lane threads).
 ///
 /// The GPU-resident collect-and-analyze model (paper Fig. 2b) is realized
@@ -103,7 +108,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -272,8 +276,8 @@ public:
     return EpochTablePtr.load(std::memory_order_acquire);
   }
   /// Publishes \p Table (release). Caller owns quiescence: the
-  /// processor's admission gate guarantees no producer is mid-admission
-  /// and every lane has drained the previous epoch.
+  /// reconfiguration contract guarantees no producer is mid-admission,
+  /// and the swap has drained every lane of the previous epoch.
   void publish(const RoutingTable *Table) {
     EpochTablePtr.store(Table, std::memory_order_release);
   }
@@ -292,19 +296,20 @@ public:
   ~EventProcessor() override;
 
   /// Adds a tool (not owned) and publishes a new routing-table epoch —
-  /// on a live pipeline this quiesces admission, drains every lane, and
-  /// swaps tables, so the tool sees exactly the events admitted after
-  /// the call returns. Returns false (without mutating) only when
-  /// called from a dispatch-lane thread or from inside a tool hook
-  /// running under an admission guard — the caller is part of the work
-  /// the reconfiguration barrier waits on.
+  /// on a live pipeline this drains every lane and swaps tables, so the
+  /// tool sees exactly the events admitted after the call returns. The
+  /// caller must ensure no process() call or record delivery is in
+  /// flight meanwhile (see the reconfiguration contract above). Returns
+  /// false (without mutating) only when called from a dispatch-lane
+  /// thread or from a tool hook running inline.
   bool addTool(Tool *T);
   /// Detaches \p T from the routing tables at an epoch boundary: events
   /// admitted after the call returns never reach it, and every event
-  /// admitted before is fully delivered first. False when \p T is not
-  /// attached or under the same dispatch-context rule as addTool.
+  /// admitted before is fully delivered first. Same contract as addTool;
+  /// false when \p T is not attached or under the same dispatch-context
+  /// rule.
   bool removeTool(Tool *T);
-  /// Removes every tool. Same dispatch-context rule as addTool.
+  /// Removes every tool. Same contract and rule as addTool.
   bool clearTools();
   const std::vector<Tool *> &tools() const { return Tools; }
   /// The subscription \p T was attached with (as compiled into the
@@ -364,9 +369,9 @@ public:
   // inline on the delivering thread; in async mode each delivery first
   // flushes every lane so records never observe tool state older than
   // the coarse events preceding them. Only tools whose subscription
-  // declares the matching interest are invoked. Deliveries hold an
-  // admission guard for their duration, so a reconfiguration either
-  // completes before a batch starts or waits until it finishes.
+  // declares the matching interest are invoked. A delivery is an
+  // admission in flight: the reconfiguration contract keeps swaps out
+  // of it.
   void onKernelBegin(const sim::LaunchInfo &Info) override;
   void onAccessBatch(const sim::LaunchInfo &Info,
                      const sim::MemAccessRecord *Records,
@@ -377,8 +382,6 @@ public:
                    const sim::TraceTimeBreakdown &Breakdown) override;
 
 private:
-  friend class ProcessorAdmissionGuard;
-
   /// One dispatch lane: bounded queue, draining thread, lane-local
   /// stack context and counters. The lane vector is sized once at
   /// construction and never reallocated, so stats()/laneStats()/
@@ -390,20 +393,9 @@ private:
     std::atomic<std::uint64_t> Dispatched{0};
   };
 
-  /// Producer-side entry counters for the reconfiguration gate, striped
-  /// across cache lines to keep the per-event cost one uncontended RMW.
-  static constexpr std::size_t AdmissionSlots = 64;
-  struct alignas(64) AdmissionSlot {
-    std::atomic<std::uint64_t> Entries{0};
-  };
-
-  /// This thread's gate stripe (hash of the thread id).
-  std::atomic<std::uint64_t> &admissionSlot();
-
   /// True when the calling thread must not reconfigure this processor:
-  /// it is a dispatch-lane thread, or it is inside a tool hook running
-  /// under an admission guard (synchronous dispatch, record delivery) —
-  /// either way it is work the reconfiguration barrier would wait on.
+  /// it is a dispatch-lane thread, or it runs this processor's tool
+  /// hooks inline (synchronous dispatch, record delivery).
   bool inDispatchContext() const;
 
   /// Bitmask of the first \p Count lanes.
@@ -420,11 +412,16 @@ private:
   /// holds AttachMutex).
   std::unique_ptr<RoutingTable> buildTable();
 
-  /// The epoch swap (caller holds AttachMutex): engage the admission
-  /// gate, wait for in-flight admissions, drain every lane (flushing
-  /// epoch N completely under table N), register the new contracts with
-  /// the validator, publish table N+1, release the gate.
+  /// The epoch swap (caller holds AttachMutex, and no admission is in
+  /// flight): drain every lane (flushing epoch N completely under table
+  /// N), register the new contracts with the validator, publish table
+  /// N+1.
   void swapTable();
+
+  /// Waits until every lane has dispatched everything admitted so far
+  /// (the barrier flush() and swapTable() share). Checks the barrier's
+  /// ordering when validating.
+  void drainLanes();
 
   /// The lane an event's ShardByDevice/Concurrent subscribers run on.
   std::size_t homeLane(const Event &E) const {
@@ -478,15 +475,6 @@ private:
     std::atomic<std::uint64_t> Reconfigurations{0};
   } Core;
   std::vector<std::unique_ptr<Lane>> Lanes;
-
-  /// Reconfiguration gate. Producers enter by bumping their stripe and
-  /// re-checking Reconfiguring (both seq_cst — the Dekker handshake
-  /// with the reconfigurer's flag-store + counter-scan); when the flag
-  /// is up they back out and park on ReconfigCv.
-  std::array<AdmissionSlot, AdmissionSlots> Gate;
-  std::atomic<bool> Reconfiguring{false};
-  std::mutex ReconfigMutex;
-  std::condition_variable ReconfigCv;
 
   /// Serializes tool-set reconfigurations against each other; never
   /// taken on the steady-state event path.

@@ -202,6 +202,14 @@ public:
   //===--------------------------------------------------------------------===
   // Live reconfiguration
   //===--------------------------------------------------------------------===
+  // These run only while no event admission (a process() call or record
+  // delivery) on the session's processor is in flight, and the caller
+  // ensures that. run() admits on its calling thread, so a caller on
+  // that thread reconfigures between runs; the serve daemon holds the
+  // tenant lock that also serializes the tenant's admission. With
+  // validation on (SessionBuilder::validate()), a swap that overlaps an
+  // admission is reported.
+
   /// Attaches \p T to the *running* session: the pipeline publishes a
   /// new routing epoch behind a flush barrier and the tool sees every
   /// event admitted afterwards. Returns the raw pointer, or null when

@@ -6,6 +6,7 @@
 
 #include "pasta/Validate.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -50,6 +51,8 @@ const char *validationViolationName(ValidationViolation::Kind K) {
     return "flush-from-lane";
   case ValidationViolation::Kind::FlushNotDrained:
     return "flush-not-drained";
+  case ValidationViolation::Kind::ReconfigureDuringAdmission:
+    return "reconfigure-during-admission";
   }
   return "unknown";
 }
@@ -136,19 +139,39 @@ void Validator::unregisterTools() {
 void Validator::beginReconfiguration() {
   std::lock_guard<std::mutex> Lock(StateMutex);
   Reconfiguring = true;
+  OverlappedAdmissions = InFlightAdmissions.load(std::memory_order_seq_cst);
   for (auto &Entry : Tools)
     Entry.second->Stale = true;
 }
 
 void Validator::endReconfiguration() {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  Reconfiguring = false;
-  for (auto It = Tools.begin(); It != Tools.end();) {
-    if (It->second->Stale)
-      It = Tools.erase(It);
-    else
-      ++It;
+  std::uint64_t Overlapped = 0;
+  {
+    std::lock_guard<std::mutex> Lock(StateMutex);
+    Reconfiguring = false;
+    Overlapped = std::max(OverlappedAdmissions,
+                          InFlightAdmissions.load(std::memory_order_seq_cst));
+    for (auto It = Tools.begin(); It != Tools.end();) {
+      if (It->second->Stale)
+        It = Tools.erase(It);
+      else
+        ++It;
+    }
   }
+  // One report per swap, from either end of the bracket.
+  if (Overlapped != 0)
+    report(ValidationViolation::Kind::ReconfigureDuringAdmission,
+           "routing-table swap while " + std::to_string(Overlapped) +
+               " process() call(s) or record deliveries were in flight: "
+               "serialize addTool/removeTool/clearTools with admission");
+}
+
+void Validator::beginAdmission() {
+  InFlightAdmissions.fetch_add(1, std::memory_order_seq_cst);
+}
+
+void Validator::endAdmission() {
+  InFlightAdmissions.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 Validator::ToolState *Validator::stateOf(Tool &T) {

@@ -19,10 +19,10 @@
 /// Cost model: validation is a per-processor opt-in (ProcessorOptions::
 /// Validate / SessionBuilder::validate() / accelprof --validate /
 /// -DPASTA_VALIDATE=ON build default). When off, the pipeline carries
-/// exactly one null-pointer test per dispatch and nothing else — the
-/// Validator object does not exist. When on, every delivery takes a
-/// short mutex-protected ledger/state path; this is a debugging build
-/// mode, not a production default.
+/// one null-pointer test per admission and per dispatch and nothing
+/// else — the Validator object does not exist. When on, every delivery
+/// takes a short mutex-protected ledger/state path; this is a debugging
+/// build mode, not a production default.
 ///
 /// Violations route through a handler: the default prints the
 /// diagnostic and aborts (a broken contract means tool state is already
@@ -83,6 +83,10 @@ struct ValidationViolation {
     /// were admitted when the barrier began — waitDrained() returned
     /// without the drain it promises.
     FlushNotDrained,
+    /// A routing-table swap (addTool/removeTool/clearTools) ran while a
+    /// process() call or record delivery was in flight on the same
+    /// processor: the caller broke the reconfiguration contract.
+    ReconfigureDuringAdmission,
   };
 
   Kind What = Kind::SerialOverlap;
@@ -145,15 +149,25 @@ public:
   /// Forgets every registered tool (clearTools on the processor).
   void unregisterTools();
 
-  /// Brackets an epoch swap. beginReconfiguration() marks every
+  /// Brackets an epoch swap, drain included. The caller must keep the
+  /// swap out of every process() call and record delivery; nothing
+  /// waits for them, but when an admission is in flight at either end
+  /// of the bracket, endReconfiguration() reports one
+  /// ReconfigureDuringAdmission. beginReconfiguration() marks every
   /// registered tool stale; the registerTool() calls that follow
   /// re-adopt survivors in place (their in-flight Active counters are
-  /// preserved — the pipeline is quiesced, but a collecting-handler
-  /// test may hold state across the swap); endReconfiguration()
-  /// retires tools the new table no longer routes to. The caller holds
-  /// the processor's attach lock for the whole bracket.
+  /// preserved — a collecting-handler test may hold state across the
+  /// swap); endReconfiguration() retires tools the new table no longer
+  /// routes to. The caller holds the processor's attach lock for the
+  /// whole bracket.
   void beginReconfiguration();
   void endReconfiguration();
+
+  /// Bracket one process() call or record delivery. They only count
+  /// (seq_cst, like the reads at both ends of the reconfiguration
+  /// bracket); nothing waits on the count.
+  void beginAdmission();
+  void endAdmission();
 
   /// Delivery-time checks, wrapped around the hook invocation:
   /// subscription-mask watchdog, Serial overlap/lane-affinity, payload
@@ -253,10 +267,14 @@ private:
   std::atomic<std::uint64_t> PayloadsTracked{0};
   std::atomic<std::uint64_t> Violations{0};
   std::atomic<std::uint64_t> SanctionedMigrations{0};
+  /// process() calls and record deliveries in flight.
+  std::atomic<std::uint64_t> InFlightAdmissions{0};
 
   /// True between beginReconfiguration() and endReconfiguration()
   /// (guarded by StateMutex alongside the Stale flags it governs).
   bool Reconfiguring = false;
+  /// Admissions in flight when the current swap began (StateMutex).
+  std::uint64_t OverlappedAdmissions = 0;
 };
 
 } // namespace pasta

@@ -16,8 +16,9 @@
 //  * detaching an earlier-pinned Serial tool re-pins the later ones at
 //    the epoch boundary without reordering them;
 //  * random reconfiguration schedules never drop or duplicate events;
-//  * detach racing flush and concurrent producers is safe (this suite
-//    runs under TSan in CI);
+//  * attach/detach serialized with concurrent producers by one caller
+//    lock, as the daemon's tenant lock does, is safe while an unlocked
+//    flusher races both (this suite runs under TSan in CI);
 //  * the daemon's control verbs (attach-tool / detach-tool /
 //    list-tenants) reconfigure tenant sessions end to end, including
 //    over the control socket.
@@ -35,6 +36,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -75,9 +77,10 @@ public:
   std::atomic<std::uint64_t> Seen{0};
 };
 
-/// Calls back into its own processor from the dispatch hook; every
-/// reconfiguration attempt must be rejected there (a swap would drain
-/// the lane currently executing this hook — self-deadlock).
+/// Calls back into its own processor from its dispatch and record
+/// hooks; every reconfiguration attempt must be rejected there (the hook
+/// is an admission in flight — on a lane, a swap would drain the lane
+/// executing it).
 class ReentrantReconfigTool : public Tool {
 public:
   explicit ReentrantReconfigTool(EventProcessor &P) : Processor(P) {}
@@ -89,7 +92,12 @@ public:
     Sub.CapturesStacks = true;
     return Sub;
   }
-  void onEvent(const Event &) override {
+  void onEvent(const Event &) override { tryReconfigure(); }
+  void onKernelTraceEnd(const sim::LaunchInfo &,
+                        const sim::TraceTimeBreakdown &) override {
+    tryReconfigure();
+  }
+  void tryReconfigure() {
     AddRejected = !Processor.addTool(&Victim);
     RemoveRejected = !Processor.removeTool(this);
     Ran = true;
@@ -211,20 +219,36 @@ TEST(Reconfig, GuestSeesExactlyItsEpochsAndFreezesOnDetach) {
 }
 
 TEST(Reconfig, ReconfigurationFromDispatchHookIsRejected) {
-  EventProcessor Processor(asyncOptions(64, 1));
-  ReentrantReconfigTool Hook(Processor);
-  ASSERT_TRUE(Processor.addTool(&Hook));
+  // Three places a hook runs: a dispatch lane (async), the producer's
+  // own thread (synchronous dispatch), and a record delivery, which runs
+  // on the delivering thread in either mode.
+  struct Case {
+    const char *Name;
+    bool Async;
+    bool Record;
+  };
+  for (const Case &C : {Case{"lane", true, false}, Case{"sync", false, false},
+                        Case{"record", true, true}}) {
+    ProcessorOptions Opts = asyncOptions(64, 1);
+    Opts.AsyncEvents = C.Async;
+    EventProcessor Processor(Opts);
+    ReentrantReconfigTool Hook(Processor);
+    ASSERT_TRUE(Processor.addTool(&Hook)) << C.Name;
 
-  Processor.process(copyEvent(1));
-  Processor.flush();
+    if (C.Record)
+      Processor.onKernelEnd(sim::LaunchInfo{}, sim::TraceTimeBreakdown{});
+    else
+      Processor.process(copyEvent(1));
+    Processor.flush();
 
-  ASSERT_TRUE(Hook.Ran);
-  EXPECT_TRUE(Hook.AddRejected);
-  EXPECT_TRUE(Hook.RemoveRejected);
-  // The pipeline survived the rejection: still one tool, still running.
-  ASSERT_EQ(Processor.tools().size(), 1u);
-  Processor.process(copyEvent(2));
-  Processor.flush();
+    ASSERT_TRUE(Hook.Ran) << C.Name;
+    EXPECT_TRUE(Hook.AddRejected) << C.Name;
+    EXPECT_TRUE(Hook.RemoveRejected) << C.Name;
+    // The pipeline survived the rejection: still one tool, still running.
+    ASSERT_EQ(Processor.tools().size(), 1u) << C.Name;
+    Processor.process(copyEvent(2));
+    Processor.flush();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -323,11 +347,12 @@ TEST(Reconfig, RandomScheduleNeverDropsOrDuplicates) {
   }
 }
 
-TEST(Reconfig, DetachRacingFlushAndProducersIsSafe) {
-  // Three-way race, TSan-covered in CI: producers admitting, a flusher
-  // hammering the barrier, a reconfigurer cycling attach/detach. The
-  // stable Serial tool must still see every event exactly once, in
-  // per-producer order.
+TEST(Reconfig, DetachUnderCallerLockRacingFlushIsSafe) {
+  // The daemon's pattern, TSan-covered in CI: two producers admit in
+  // frames and a reconfigurer cycles attach/detach, all under one
+  // caller lock (the tenant lock), while an unlocked flusher hammers the
+  // barrier. The stable Serial tool must still see every event exactly
+  // once, in per-producer order.
   EventProcessor Processor(asyncOptions(64, 4));
   CollectTool Stable;
   CountTool Counter;
@@ -336,11 +361,16 @@ TEST(Reconfig, DetachRacingFlushAndProducersIsSafe) {
 
   constexpr std::uint64_t PerProducer = 4000;
   constexpr std::uint64_t ProducerCount = 2;
+  constexpr std::uint64_t Frame = 50;
+  std::mutex CallerLock;
   std::vector<std::thread> Threads;
   for (std::uint64_t P = 0; P < ProducerCount; ++P)
-    Threads.emplace_back([&Processor, P] {
-      for (std::uint64_t Seq = 0; Seq < PerProducer; ++Seq)
-        Processor.process(allocEvent((P << 32) | Seq));
+    Threads.emplace_back([&Processor, &CallerLock, P] {
+      for (std::uint64_t Seq = 0; Seq < PerProducer;) {
+        std::lock_guard<std::mutex> Lock(CallerLock);
+        for (std::uint64_t End = Seq + Frame; Seq < End; ++Seq)
+          Processor.process(allocEvent((P << 32) | Seq));
+      }
     });
 
   std::atomic<bool> Stop{false};
@@ -348,11 +378,15 @@ TEST(Reconfig, DetachRacingFlushAndProducersIsSafe) {
     while (!Stop.load())
       Processor.flush();
   });
-  std::thread Reconfigurer([&Processor, &Stop] {
+  std::thread Reconfigurer([&Processor, &CallerLock, &Stop] {
     CollectTool Guest;
     while (!Stop.load()) {
-      EXPECT_TRUE(Processor.addTool(&Guest));
-      EXPECT_TRUE(Processor.removeTool(&Guest));
+      {
+        std::lock_guard<std::mutex> Lock(CallerLock);
+        EXPECT_TRUE(Processor.addTool(&Guest));
+        EXPECT_TRUE(Processor.removeTool(&Guest));
+      }
+      std::this_thread::yield(); // let the producers take the lock
     }
   });
 

@@ -7,9 +7,10 @@
 // Seeded-violation tests for the runtime contract validator: each
 // pipeline contract is deliberately broken (drifting subscription,
 // Serial overlap/migration, released payload handles, flush from a
-// dispatch lane) and the collecting handler must see exactly the
-// expected violation. Plus the other direction: validation off is the
-// default and a validating pipeline produces byte-identical reports.
+// dispatch lane, reconfiguration during an admission) and the
+// collecting handler must see exactly the expected violation. Plus the
+// other direction: validation off is the default and a validating
+// pipeline produces byte-identical reports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +23,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pasta;
@@ -110,6 +113,22 @@ public:
       Proc->flush();
   }
   EventProcessor *Proc = nullptr;
+};
+
+/// Parks inside its hook until released, so a test can hold one
+/// synchronous process() call in flight on another thread.
+class ParkedHookTool : public Tool {
+public:
+  std::string name() const override { return "parked_hook"; }
+  Subscription subscription() override {
+    return serialOn({EventKind::OperatorStart});
+  }
+  void onOperatorStart(const Event &) override {
+    Entered.set_value();
+    Released.wait();
+  }
+  std::promise<void> Entered;
+  std::future<void> Released;
 };
 
 Event operatorStart(const char *Op) {
@@ -348,6 +367,37 @@ TEST(Validate, FlushFromLaneDetectedWithoutDeadlock) {
 }
 
 //===----------------------------------------------------------------------===//
+// Seeded violation: reconfiguration overlapping an admission
+//===----------------------------------------------------------------------===//
+
+TEST(Validate, ReconfigureDuringAdmissionDetected) {
+  // The caller breaks the reconfiguration contract: addTool runs while a
+  // synchronous hook is parked inside process() on another thread. The
+  // swap must not wait for it, and the validator must report it once.
+  ProcessorOptions Opts;
+  Opts.Validate = true;
+  EventProcessor P(Opts);
+  Collector C;
+  C.install(*P.validator());
+  ParkedHookTool Parked;
+  std::promise<void> Release;
+  Parked.Released = Release.get_future();
+  std::future<void> Entered = Parked.Entered.get_future();
+  ASSERT_TRUE(P.addTool(&Parked));
+
+  std::thread Producer([&P] { P.process(operatorStart("conv")); });
+  Entered.wait();
+  OpTool Late;
+  EXPECT_TRUE(P.addTool(&Late));
+  Release.set_value();
+  Producer.join();
+
+  EXPECT_EQ(C.count(ValidationViolation::Kind::ReconfigureDuringAdmission),
+            1u);
+  EXPECT_EQ(C.total(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // Non-interference: a validating pipeline produces identical results
 //===----------------------------------------------------------------------===//
 
@@ -417,6 +467,9 @@ TEST(Validate, ViolationKindNames) {
   EXPECT_STREQ(validationViolationName(
                    ValidationViolation::Kind::PayloadUseAfterRelease),
                "payload-use-after-release");
+  EXPECT_STREQ(validationViolationName(
+                   ValidationViolation::Kind::ReconfigureDuringAdmission),
+               "reconfigure-during-admission");
 }
 
 } // namespace
