@@ -20,6 +20,7 @@
 #include "support/Env.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +73,22 @@ downsample(const std::vector<std::uint64_t> &Series, std::size_t Points) {
     Out.push_back(Series[I * Series.size() / Points]);
   Out.push_back(Series.back());
   return Out;
+}
+
+/// The \p Q quantile of \p Values, interpolating linearly between
+/// order statistics.
+inline double quantile(std::vector<double> Values, double Q) {
+  std::sort(Values.begin(), Values.end());
+  double Pos = Q * static_cast<double>(Values.size() - 1);
+  std::size_t Lo = static_cast<std::size_t>(Pos);
+  std::size_t Hi = std::min(Lo + 1, Values.size() - 1);
+  double Frac = Pos - static_cast<double>(Lo);
+  return Values[Lo] + (Values[Hi] - Values[Lo]) * Frac;
+}
+
+/// Interquartile range of \p Values.
+inline double iqr(const std::vector<double> &Values) {
+  return quantile(Values, 0.75) - quantile(Values, 0.25);
 }
 
 /// Renders a series as a compact ASCII sparkline row (8 height levels).

@@ -46,6 +46,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchUtil.h"
 #include "pasta/EventProcessor.h"
 #include "serve/Aggregator.h"
 #include "support/FaultInjector.h"
@@ -206,17 +207,6 @@ double runMode(std::size_t Clients, std::size_t EventCount,
   return Seconds;
 }
 
-/// The \p Q quantile of \p Values, interpolating linearly between
-/// order statistics.
-double quantile(std::vector<double> Values, double Q) {
-  std::sort(Values.begin(), Values.end());
-  double Pos = Q * static_cast<double>(Values.size() - 1);
-  std::size_t Lo = static_cast<std::size_t>(Pos);
-  std::size_t Hi = std::min(Lo + 1, Values.size() - 1);
-  double Frac = Pos - static_cast<double>(Lo);
-  return Values[Lo] + (Values[Hi] - Values[Lo]) * Frac;
-}
-
 struct CellResult {
   std::size_t Clients = 0;
   /// Per pair, in run order.
@@ -326,9 +316,8 @@ int main(int Argc, char **Argv) {
     FaultInjector::instance().resetStats();
     Cell.ChaosOk = ChaosOk;
 
-    Cell.MedianOverhead = quantile(Cell.Overheads, 0.5);
-    Cell.OverheadIqr =
-        quantile(Cell.Overheads, 0.75) - quantile(Cell.Overheads, 0.25);
+    Cell.MedianOverhead = bench::quantile(Cell.Overheads, 0.5);
+    Cell.OverheadIqr = bench::iqr(Cell.Overheads);
     // Machine-aware: with fewer cores the daemon's decode threads
     // time-share with the producers and the ratio measures the
     // scheduler, not the bookkeeping.
@@ -339,8 +328,8 @@ int main(int Argc, char **Argv) {
       AllOk = false;
 
     std::printf("%8zu | %12.4f %12.4f | %8.1f%% %7.1f%% %-20s %s%s\n",
-                Clients, quantile(Cell.BaselineSeconds, 0.5),
-                quantile(Cell.ResilientSeconds, 0.5),
+                Clients, bench::quantile(Cell.BaselineSeconds, 0.5),
+                bench::quantile(Cell.ResilientSeconds, 0.5),
                 Cell.MedianOverhead * 100.0, Cell.OverheadIqr * 100.0,
                 Cell.Passed
                     ? (Cell.Enforced ? "PASS" : "PASS [not enforced]")

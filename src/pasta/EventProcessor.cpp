@@ -232,8 +232,9 @@ void EventProcessor::swapTable() {
   // Flush the draining epoch: with no admission in flight (the caller's
   // side of the contract), every ticket in every ring was admitted under
   // the old table, and the lanes read the epoch once per batch —
-  // waitDrained() returns only with the ring empty and the consumer
-  // parked between batches, so publication below cannot land mid-batch.
+  // waitDrained() returns once a lane's dispatched watermark covers
+  // every ticket, which the lane stores only when it is back between
+  // batches, so publication below cannot land mid-batch.
   // Not counted in FlushCount: that metric tracks event-plane barriers,
   // reconfigurations have their own.
   drainLanes();
@@ -461,9 +462,10 @@ void EventProcessor::laneLoop(std::size_t LaneIndex) {
   std::vector<Event> Batch;
   while (L.Queue->dequeueBatch(Batch)) {
     // One epoch read per batch: a table swap can only happen while this
-    // consumer is parked between batches (the swap's drain barrier
-    // demands ring-empty AND consumer-idle), so every event in this
-    // batch was admitted — and is dispatched — under this table.
+    // consumer is between batches (the swap's drain barrier waits for
+    // the dispatched watermark, stored only here between batches, to
+    // cover every ticket), so every event in this batch was admitted —
+    // and is dispatched — under this table.
     const RoutingTable &Table = *Epoch.current();
     for (Event &E : Batch) {
       // Lane-local stack context, updated in this lane's event order so
@@ -591,8 +593,9 @@ void EventProcessor::reportPipeline(ReportSink &Sink) const {
   Sink.metric("max_queue_depth", Snapshot.MaxQueueDepth);
   Sink.metric("flush_count", Snapshot.FlushCount);
   if (!Lanes.empty()) {
-    // Admission-path pressure: spins say the ring filled, parks say the
-    // spin window was not enough and a producer actually blocked.
+    // Admission-path pressure: spins count enqueues that found the ring
+    // full, parks those that still found it full under the waiter's
+    // lock and blocked.
     Sink.metric("queue.spins", Snapshot.QueueSpins);
     Sink.metric("queue.parks", Snapshot.QueueParks);
     // The shared payload arena only runs in async mode; its hit count

@@ -161,11 +161,13 @@ struct ProcessorStats {
   /// Routing-table swaps published so far (tool attach/detach/clear;
   /// the initial empty table does not count).
   std::uint64_t Reconfigurations = 0;
-  /// Async pipeline: enqueues that found a lane's ring full and spun
-  /// for space (summed over lanes).
+  /// Async pipeline: enqueues that found a lane's ring full (summed over
+  /// lanes); the stream meta frames and pastabench read it under this
+  /// name.
   std::uint64_t QueueSpins = 0;
-  /// Async pipeline: enqueues whose spin window expired and parked on
-  /// the queue's waiter (back-pressure actually blocking a producer).
+  /// Async pipeline: of those, enqueues that still found the ring full
+  /// under the queue's waiter lock and slept (back-pressure actually
+  /// blocking a producer).
   std::uint64_t QueueParks = 0;
   /// Event arena (async mode): distinct payloads resident — strings,
   /// stacks, kernel/tensor descriptors interned once and shared by

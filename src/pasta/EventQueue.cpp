@@ -30,10 +30,6 @@
 
 using namespace pasta;
 
-std::size_t pasta::defaultQueueSpinIterations() {
-  return std::thread::hardware_concurrency() > 1 ? 64 : 0;
-}
-
 namespace {
 
 std::size_t roundUpPow2(std::size_t Value) {
@@ -45,9 +41,8 @@ std::size_t roundUpPow2(std::size_t Value) {
 
 } // namespace
 
-EventQueue::EventQueue(std::size_t Capacity, std::size_t SpinIterations)
-    : Capacity(std::min<std::size_t>(Capacity, MaxCapacity)),
-      SpinIterations(SpinIterations) {
+EventQueue::EventQueue(std::size_t Capacity)
+    : Capacity(std::min<std::size_t>(Capacity, MaxCapacity)) {
   assert(Capacity > 0 && "queue depth must be positive");
   std::size_t RingSize = roundUpPow2(this->Capacity);
   RingMask = RingSize - 1;
@@ -65,10 +60,10 @@ std::optional<std::uint64_t> EventQueue::claimTicket() {
   // Repair the counter (void claims are exactly cancelled — once the
   // bit is set every later claim is void too), count the loss so
   // enqueued + dropped == sent keeps holding, and release any drain
-  // waiter watching the transient inflation.
+  // waiter whose target took in the transient inflation.
   Tail.fetch_sub(1, std::memory_order_seq_cst);
   Counters.Dropped.fetch_add(1, std::memory_order_relaxed);
-  notifyDrainedIfIdle();
+  notifyDrainWaiters();
   return std::nullopt;
 }
 
@@ -91,12 +86,6 @@ void EventQueue::awaitSpace(std::uint64_t Ticket) {
   auto HasSpace = [&] {
     return Ticket - Head.load(std::memory_order_seq_cst) < Capacity;
   };
-  for (std::size_t I = 0; I < SpinIterations; ++I) {
-    if (HasSpace())
-      return;
-    std::this_thread::yield();
-  }
-  Counters.Parks.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> Lock(WaitMutex);
   ParkedProducers.fetch_add(1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -104,7 +93,10 @@ void EventQueue::awaitSpace(std::uint64_t Ticket) {
   // eventually (tickets are claimed and published in a total order), so
   // the predicate needs no Closed escape — close() keeps the consumer
   // draining until every claimed ticket is consumed.
-  NotFull.wait(Lock, HasSpace);
+  if (!HasSpace()) {
+    Counters.Parks.fetch_add(1, std::memory_order_relaxed);
+    NotFull.wait(Lock, HasSpace);
+  }
   ParkedProducers.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -150,11 +142,12 @@ void EventQueue::publish(std::uint64_t Ticket, Event &&E) {
 
 bool EventQueue::dequeueBatch(std::vector<Event> &Batch) {
   Batch.clear();
-  // The previous batch is fully dispatched once the consumer re-enters.
-  ConsumerIdle.store(true, std::memory_order_seq_cst);
-  notifyDrainedIfIdle();
-
+  // The previous batch is fully dispatched once the consumer re-enters:
+  // every ticket below its head is done.
   std::uint64_t H = Head.load(std::memory_order_relaxed);
+  Dispatched.store(H, std::memory_order_seq_cst);
+  notifyDrainWaiters();
+
   auto Ready = [&] {
     // An event published at the head, or closed with every claimed
     // ticket consumed (a claimed-but-unpublished ticket keeps the
@@ -166,31 +159,20 @@ bool EventQueue::dequeueBatch(std::vector<Event> &Batch) {
     return isClosed(TailWord) && ticketOf(TailWord) == H;
   };
   if (!Ready()) {
-    bool Done = false;
-    for (std::size_t I = 0; I < SpinIterations; ++I) {
-      std::this_thread::yield();
-      if ((Done = Ready()))
-        break;
-    }
-    if (!Done) {
-      std::unique_lock<std::mutex> Lock(WaitMutex);
-      ConsumerParked.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // Timed wait: the publish-side wake check is allowed to skip a
-      // wake on a stale Head read (see publish()); the periodic
-      // re-check turns that race into bounded latency instead of a
-      // hang. While the queue is idle this costs one predicate probe
-      // per millisecond.
-      while (!NotEmpty.wait_for(Lock, std::chrono::milliseconds(1),
-                                Ready))
-        ;
-      ConsumerParked.store(false, std::memory_order_relaxed);
-    }
+    std::unique_lock<std::mutex> Lock(WaitMutex);
+    ConsumerParked.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Timed wait: the publish-side wake check is allowed to skip a wake
+    // on a stale Head read (see publish()); the periodic re-check turns
+    // that race into bounded latency instead of a hang. While the queue
+    // is idle this costs one predicate probe per millisecond.
+    while (!NotEmpty.wait_for(Lock, std::chrono::milliseconds(1), Ready))
+      ;
+    ConsumerParked.store(false, std::memory_order_relaxed);
   }
   if (slot(H).Seq.load(std::memory_order_acquire) != H + 1)
     return false; // closed and drained
 
-  ConsumerIdle.store(false, std::memory_order_seq_cst);
   // Drain every contiguously published slot (the double buffer: events
   // move out of the ring here and are dispatched lock-free by the
   // caller), freeing each slot for its next-lap producer.
@@ -214,28 +196,27 @@ bool EventQueue::dequeueBatch(std::vector<Event> &Batch) {
   return true;
 }
 
-void EventQueue::notifyDrainedIfIdle() {
+void EventQueue::notifyDrainWaiters() {
+  // Waiters hold different targets, so any advance may release one;
+  // with nobody waiting this is a fence and a load.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (DrainWaiters.load(std::memory_order_relaxed) == 0)
-    return;
-  if (Head.load(std::memory_order_relaxed) !=
-      ticketOf(Tail.load(std::memory_order_relaxed)))
     return;
   std::lock_guard<std::mutex> Lock(WaitMutex);
   Drained.notify_all();
 }
 
 void EventQueue::waitDrained() {
-  // Head before ConsumerIdle: dequeueBatch stores ConsumerIdle = false
-  // before it stores the Head that takes a batch, so a waiter that sees
-  // that Head also sees the consumer busy until the batch is
-  // dispatched. Loading ConsumerIdle first could pair an idle flag from
-  // before the take with the Head from after it, and return while the
-  // last batch is still being dispatched.
+  // The target is the tail on entry: tickets claimed later do not hold
+  // this barrier, however long their producers keep admitting. A claim
+  // voided by close() inflates the tail until claimTicket repairs it,
+  // and its ticket is never consumed, so the target is capped by the
+  // current tail.
+  const std::uint64_t Target = ticketOf(Tail.load(std::memory_order_seq_cst));
   auto DrainedNow = [&] {
     std::uint64_t Claimed = ticketOf(Tail.load(std::memory_order_seq_cst));
-    return Head.load(std::memory_order_seq_cst) == Claimed &&
-           ConsumerIdle.load(std::memory_order_seq_cst);
+    return Dispatched.load(std::memory_order_seq_cst) >=
+           std::min(Target, Claimed);
   };
   if (DrainedNow())
     return;

@@ -21,10 +21,10 @@
 ///  * Producers *claim* a slot by taking a ticket — one atomic fetch-add
 ///    on the tail. No lock is taken on the admission fast path.
 ///  * If the claimed slot is still a lap ahead of the consumer (the ring
-///    is full), the producer spins briefly and then parks on a
-///    futex-style waiter (mutex+condvar, entered only on this slow
-///    path). The consumer wakes parked producers only when someone is
-///    actually parked (see counters Spins/Parks).
+///    is full), the producer parks at once on a futex-style waiter
+///    (mutex+condvar, entered only on this slow path), as an empty-ring
+///    consumer does. The consumer wakes parked producers only when
+///    someone is actually parked (see counters Spins/Parks).
 ///  * A claimed slot is *published* by storing the ticket+1 into the
 ///    slot's sequence number (release); the consumer recognizes
 ///    published slots by that sequence and frees them by storing
@@ -33,8 +33,10 @@
 ///
 /// The consumer drains double-buffered batches: dequeueBatch moves
 /// every contiguously published slot into the caller's vector and
-/// dispatches it lock-free; waitDrained() synchronizes on "ring empty
-/// and the consumer between batches".
+/// dispatches it lock-free. Each time it comes back for a batch it
+/// stores its head into a dispatched-ticket watermark; waitDrained()
+/// waits for that watermark to reach the tail it saw on entry, so a
+/// flush covers the events admitted before it and no later ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,12 +55,6 @@
 
 namespace pasta {
 
-/// Default spin window before a full-ring producer (or empty-ring
-/// consumer) parks: 64 iterations on multi-core hosts, 0 on single-core
-/// ones — spinning there only delays the thread that would free the
-/// ring.
-std::size_t defaultQueueSpinIterations();
-
 /// Monotonic counters; snapshot via EventQueue::counters().
 struct EventQueueCounters {
   std::uint64_t Enqueued = 0;
@@ -68,9 +64,11 @@ struct EventQueueCounters {
   std::uint64_t MaxDepth = 0;
   /// Batches handed to the consumer.
   std::uint64_t Batches = 0;
-  /// Enqueues that found the ring full and entered the spin window.
+  /// Enqueues that found the ring full (the stream meta frames carry
+  /// it as spins).
   std::uint64_t Spins = 0;
-  /// Enqueues that exhausted the spin window and parked on the waiter.
+  /// Of those, enqueues that still found it full under the waiter's
+  /// lock and slept.
   std::uint64_t Parks = 0;
 };
 
@@ -86,12 +84,8 @@ public:
 
   /// \p Capacity bounds the number of buffered events (> 0, clamped to
   /// MaxCapacity; the backing ring rounds up to a power of two but
-  /// admission enforces the exact figure). \p SpinIterations is how long
-  /// a full-ring producer (or an empty-ring consumer) spins before
-  /// parking; 0 parks immediately — the right call on single-core hosts.
-  explicit EventQueue(
-      std::size_t Capacity,
-      std::size_t SpinIterations = defaultQueueSpinIterations());
+  /// admission enforces the exact figure).
+  explicit EventQueue(std::size_t Capacity);
 
   EventQueue(const EventQueue &) = delete;
   EventQueue &operator=(const EventQueue &) = delete;
@@ -104,13 +98,14 @@ public:
   /// Consumer side: moves every contiguously published event into
   /// \p Batch, blocking until events are available. Returns false when
   /// the queue is closed and fully drained. Calling dequeueBatch also
-  /// marks the previous batch as fully dispatched (the consumer is
-  /// "idle" while blocked here), which is what waitDrained()
-  /// synchronizes on.
+  /// marks the previous batch as fully dispatched (it advances the
+  /// dispatched watermark), which is what waitDrained() synchronizes on.
   bool dequeueBatch(std::vector<Event> &Batch);
 
-  /// Blocks until every claimed event has been dispatched (ring empty
-  /// AND the consumer is between batches). Producer-side flush barrier.
+  /// Blocks until every event claimed before the call has been
+  /// dispatched: the consumer came back for a batch with its head at or
+  /// past the tail seen on entry. Events admitted after the call do not
+  /// hold it. Producer-side flush barrier.
   void waitDrained();
 
   /// Ends the stream: the consumer drains what is claimed, then
@@ -128,11 +123,11 @@ public:
   std::uint64_t admittedTickets() const {
     return ticketOf(Tail.load(std::memory_order_acquire));
   }
-  /// Tickets fully consumed (dispatched) so far; monotonic, so a
+  /// Tickets fully dispatched so far (the watermark); monotonic, so a
   /// barrier check against a pre-barrier admitted snapshot is race-free
   /// even with concurrent producers.
   std::uint64_t consumedTickets() const {
-    return Head.load(std::memory_order_acquire);
+    return Dispatched.load(std::memory_order_acquire);
   }
 
 private:
@@ -157,15 +152,14 @@ private:
   /// parked consumer.
   void publish(std::uint64_t Ticket, Event &&E);
 
-  /// Spin-then-park until \p Ticket's slot has space
-  /// (Ticket - Head < Capacity). Slow path only.
+  /// Parks until \p Ticket's slot has space (Ticket - Head < Capacity).
+  /// Slow path only.
   void awaitSpace(std::uint64_t Ticket);
 
-  /// Wakes drain waiters if the queue is drained and anyone waits.
-  void notifyDrainedIfIdle();
+  /// Wakes drain waiters, if any, to re-check their target.
+  void notifyDrainWaiters();
 
   const std::size_t Capacity;
-  const std::size_t SpinIterations;
   std::size_t RingMask = 0;
   /// The ring storage (power-of-two sized, >= Capacity).
   std::vector<Slot> Ring;
@@ -191,9 +185,11 @@ private:
   /// First unconsumed ticket; published by the consumer after freeing a
   /// batch's slots.
   std::atomic<std::uint64_t> Head{0};
-  /// True while the consumer is between batches (blocked in
-  /// dequeueBatch); waitDrained synchronizes on it.
-  std::atomic<bool> ConsumerIdle{true};
+  /// Dispatched-ticket watermark: the consumer's head, stored each time
+  /// it comes back for a batch, so every ticket below it has been
+  /// dispatched. Trails Head by the batch in dispatch; waitDrained
+  /// synchronizes on it.
+  std::atomic<std::uint64_t> Dispatched{0};
   /// True while the consumer is parked on NotEmpty — producers only
   /// take the wait mutex to wake it when it actually is.
   std::atomic<bool> ConsumerParked{false};

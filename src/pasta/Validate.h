@@ -206,8 +206,8 @@ public:
   void onFlushFromLane();
   /// After waitDrained on lane \p Lane: \p ConsumedTickets must have
   /// reached \p AdmittedTickets (the lane's tail when the barrier
-  /// began). Head monotonicity makes this check race-free under
-  /// concurrent producers.
+  /// began). The dispatched watermark only rises, which makes this
+  /// check race-free under concurrent producers.
   void onFlushBarrier(std::size_t Lane, std::uint64_t AdmittedTickets,
                       std::uint64_t ConsumedTickets);
 

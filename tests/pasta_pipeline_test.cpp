@@ -53,8 +53,8 @@ public:
   std::vector<EventKind> Kinds;
 };
 
-/// Counts MemoryCopy deliveries on one serial lane; the producer reads
-/// the count after flush().
+/// Counts MemoryCopy deliveries on one serial lane, each taking
+/// \c Delay; the producer reads the count after flush().
 class CopyCountTool : public Tool {
 public:
   std::string name() const override { return "copy_count"; }
@@ -65,8 +65,11 @@ public:
     return Sub;
   }
   void onMemoryCopy(const Event &) override {
+    if (Delay.count() > 0)
+      std::this_thread::sleep_for(Delay);
     Copies.fetch_add(1, std::memory_order_relaxed);
   }
+  std::chrono::microseconds Delay{0};
   std::atomic<std::uint64_t> Copies{0};
 };
 
@@ -140,6 +143,44 @@ TEST(AsyncPipeline, FlushWaitsForTheLastEventOfEveryBurst) {
       ++LateRounds;
   }
   EXPECT_EQ(LateRounds, 0u) << "flush() returned before delivery";
+}
+
+TEST(AsyncPipeline, FlushReturnsWhileAnotherProducerKeepsAdmitting) {
+  // A flush waits for the events admitted before it, not for those
+  // another thread keeps admitting meanwhile. The slow tool keeps the
+  // ring from ever draining, so a barrier that waits for an empty ring
+  // returns only when the producer gives up at its deadline.
+
+  // The tool is declared first so that it outlives the lane, which
+  // still drains what the producer admitted after the flush.
+  CopyCountTool Tool;
+  Tool.Delay = std::chrono::microseconds(20);
+  EventProcessor Processor(asyncOptions(64));
+  Processor.addTool(&Tool);
+
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::atomic<bool> Stop{false};
+  std::atomic<std::uint64_t> Admitted{0};
+  std::thread Producer([&] {
+    for (std::uint64_t Seq = 0; !Stop.load(std::memory_order_relaxed) &&
+                                std::chrono::steady_clock::now() < Deadline;
+         ++Seq) {
+      Processor.process(copyEvent(Seq));
+      Admitted.store(Seq + 1, std::memory_order_relaxed);
+    }
+  });
+  while (Admitted.load(std::memory_order_relaxed) < 256 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  Processor.flush();
+  const auto Returned = std::chrono::steady_clock::now();
+  Stop.store(true, std::memory_order_relaxed);
+  Producer.join();
+
+  EXPECT_LT(Returned, Deadline)
+      << "flush() waited for the other producer to stop admitting";
+  EXPECT_GE(Tool.Copies.load(), 256u);
 }
 
 TEST(AsyncPipeline, PerProducerOrderIsPreserved) {
@@ -256,7 +297,7 @@ TEST(RingQueueTest, MultiProducerOrderAndConservationUnderDropChurn) {
   constexpr std::uint64_t PerProducer = 5000;
   constexpr std::uint64_t ProducerCount = 4;
   constexpr std::size_t CloseAfter = 1000;
-  EventQueue Queue(/*Capacity=*/32, /*SpinIterations=*/4);
+  EventQueue Queue(/*Capacity=*/32);
 
   std::vector<sim::DeviceAddr> Delivered;
   std::thread Consumer([&] {
@@ -304,13 +345,13 @@ TEST(RingQueueTest, MultiProducerOrderAndConservationUnderDropChurn) {
 }
 
 TEST(RingQueueTest, BlockProducersParkAndLoseNothing) {
-  // Spin window of zero: every full-ring producer parks immediately —
-  // the futex-style waiter path gets real traffic, and the drain-side
-  // targeted wakeups must release every parked producer. Each address
-  // carries (producer, sequence), so parking must not reorder either.
+  // Every full-ring producer parks at once, so the futex-style waiter
+  // path gets real traffic, and the drain-side targeted wakeups must
+  // release every parked producer. Each address carries (producer,
+  // sequence), so parking must not reorder either.
   constexpr std::uint64_t PerProducer = 2000;
   constexpr std::uint64_t ProducerCount = 4;
-  EventQueue Queue(/*Capacity=*/8, /*SpinIterations=*/0);
+  EventQueue Queue(/*Capacity=*/8);
 
   std::vector<sim::DeviceAddr> Delivered;
   std::thread Consumer([&] {
@@ -337,8 +378,8 @@ TEST(RingQueueTest, BlockProducersParkAndLoseNothing) {
   EXPECT_EQ(Counters.Enqueued, ProducerCount * PerProducer);
   EXPECT_EQ(Counters.Dropped, 0u);
   EXPECT_GT(Counters.Spins, 0u);
-  EXPECT_GT(Counters.Parks, 0u) << "depth 8 with 4 producers and spin 0 "
-                                   "must actually park";
+  EXPECT_GT(Counters.Parks, 0u) << "depth 8 with 4 producers must "
+                                   "actually park";
   EXPECT_LE(Counters.MaxDepth, 8u);
   // Per-producer FIFO: each producer's events arrive as 0..PerProducer-1,
   // in order, whatever the interleaving across producers.
@@ -357,7 +398,7 @@ TEST(RingQueueTest, NonPowerOfTwoCapacityIsEnforcedExactly) {
   // The backing ring rounds up to a power of two (8 slots); the logical
   // capacity must not: six events fill the queue, and a seventh parks
   // until the consumer frees space.
-  EventQueue Queue(/*Capacity=*/6, /*SpinIterations=*/0);
+  EventQueue Queue(/*Capacity=*/6);
   for (std::uint64_t Seq = 0; Seq < 6; ++Seq)
     Queue.enqueue(addressEvent(Seq));
   std::thread Producer([&Queue] { Queue.enqueue(addressEvent(6)); });
@@ -408,7 +449,7 @@ TEST(RingQueueTest, WaitDrainedCoversDispatchNotJustDequeue) {
   // waitDrained must hold until the consumer is *between* batches —
   // i.e. the previous batch was fully dispatched — not merely until
   // the ring is empty.
-  EventQueue Queue(/*Capacity=*/64, /*SpinIterations=*/0);
+  EventQueue Queue(/*Capacity=*/64);
   std::atomic<std::uint64_t> Dispatched{0};
   std::thread Consumer([&] {
     std::vector<Event> Batch;
