@@ -316,7 +316,6 @@ public:
 std::uint64_t digestRun(const PayloadPool &Pool, std::size_t Lanes,
                         std::size_t ArenaShards, bool Memo) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = Lanes > 0;
   Opts.QueueDepth = 1024;
   Opts.DispatchThreads = Lanes;

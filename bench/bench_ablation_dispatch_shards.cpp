@@ -120,7 +120,6 @@ Event copyEvent(std::uint64_t Seq) {
 
 ProcessorOptions laneOptions(std::size_t LaneCount) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = LaneCount > 0;
   Opts.QueueDepth = 1024;
   Opts.DispatchThreads = LaneCount;

@@ -162,7 +162,6 @@ public:
 
 ProcessorOptions laneOptions(std::size_t LaneCount) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = LaneCount > 0;
   Opts.QueueDepth = 2048;
   Opts.DispatchThreads = LaneCount;

@@ -119,13 +119,6 @@ std::vector<Event> makeStream(std::size_t Count) {
   return Events;
 }
 
-ProcessorOptions syncOptions() {
-  ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
-  Opts.AsyncEvents = false;
-  return Opts;
-}
-
 /// Seconds the slowest of \p Clients producer threads spends admitting
 /// its stream through a forwarder built with \p ClientOpts.
 double producerSweep(std::size_t Clients, std::size_t EventCount,
@@ -139,7 +132,7 @@ double producerSweep(std::size_t Clients, std::size_t EventCount,
   for (std::size_t C = 0; C < Clients; ++C) {
     Threads.emplace_back([&, C] {
       std::vector<Event> Stream = makeStream(EventCount);
-      EventProcessor Processor(syncOptions());
+      EventProcessor Processor;
       auto Fwd =
           std::make_unique<tools::StreamForwardTool>(SocketPath, "bench");
       Fwd->setClientOptions(ClientOpts);

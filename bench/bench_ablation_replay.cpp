@@ -155,13 +155,6 @@ std::vector<Event> makeStream(std::size_t Count) {
   return Events;
 }
 
-ProcessorOptions syncOptions() {
-  ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
-  Opts.AsyncEvents = false;
-  return Opts;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -200,7 +193,7 @@ int main(int Argc, char **Argv) {
   std::uint64_t LiveDigest = 0;
   std::uint64_t TraceBytes = 0;
   {
-    EventProcessor Processor(syncOptions());
+    EventProcessor Processor;
     StreamDigestTool Digest;
     tools::TraceCaptureTool Capture(TracePath);
     SessionError Err;
@@ -233,7 +226,7 @@ int main(int Argc, char **Argv) {
   std::uint64_t ReplayDigest = 0;
   std::uint64_t Replayed = 0;
   {
-    EventProcessor Processor(syncOptions());
+    EventProcessor Processor;
     StreamDigestTool Digest;
     Processor.addTool(&Digest);
     auto Start = std::chrono::steady_clock::now();

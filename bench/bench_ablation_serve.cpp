@@ -127,13 +127,6 @@ std::vector<Event> makeStream(std::size_t Count, bool Hot,
   return Events;
 }
 
-ProcessorOptions syncOptions() {
-  ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
-  Opts.AsyncEvents = false;
-  return Opts;
-}
-
 /// Seconds the slowest of \p Clients producer threads spends admitting
 /// its stream through a processor that carries the tool \p MakeTool
 /// builds (capture or forwarder), including the tool's finalize.
@@ -147,7 +140,7 @@ double producerSweep(std::size_t Clients, std::size_t EventCount, bool Hot,
   for (std::size_t C = 0; C < Clients; ++C) {
     Threads.emplace_back([&, C] {
       std::vector<Event> Stream = makeStream(EventCount, Hot, C);
-      EventProcessor Processor(syncOptions());
+      EventProcessor Processor;
       std::unique_ptr<Tool> T = MakeTool(C);
       if (!T) {
         ThreadOk[C] = 0;

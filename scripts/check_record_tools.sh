@@ -2,13 +2,16 @@
 # Record-tool regression gate (wired into CTest as record_tools_gate).
 #
 # The replay corpus cannot pin the tools that consume access records
-# (working_set, working_set_host, hotness): a replayed trace carries no
-# records. This gate runs them live on the cs-cpu simulator, whose
-# virtual time and seeded record generator make the report
-# deterministic, and byte-diffs the JSON report against the checked-in
-# golden twice: once on the synchronous pipeline, and once on the async
-# pipeline with two dispatch lanes after dropping its event_pipeline
-# entry (queue counters, which only the async run reports).
+# (working_set, working_set_host, hotness, redundant_load): a replayed
+# trace carries no records. This gate runs them live on the cs-cpu
+# simulator, whose virtual time and seeded record generator make the
+# report deterministic, and byte-diffs the JSON report against the
+# checked-in golden twice: once on the synchronous pipeline, and once on
+# the async pipeline with two dispatch lanes after dropping its
+# event_pipeline entry (queue counters, which only the async run
+# reports). The reducers keep no locks: on a sanitizer build, the async
+# leg checks that lane hooks and record deliveries meet only through the
+# flush barrier.
 #
 # A failure means a record tool's results changed. If that is
 # intentional, regenerate the golden with the first command below and
@@ -35,12 +38,13 @@ check() {
   fi
 }
 
-"$ACCELPROF" -t working_set_host -t working_set -t hotness -b cs-cpu \
-  --iters 1 --format json alexnet >"$OUT"
+"$ACCELPROF" -t working_set_host -t working_set -t hotness \
+  -t redundant_load -b cs-cpu --iters 1 --format json alexnet >"$OUT"
 check sync
 
-"$ACCELPROF" -t working_set_host -t working_set -t hotness -b cs-cpu \
-  --iters 1 --format json --async --dispatch-threads 2 alexnet >"$RAW"
+"$ACCELPROF" -t working_set_host -t working_set -t hotness \
+  -t redundant_load -b cs-cpu --iters 1 --format json --async \
+  --dispatch-threads 2 alexnet >"$RAW"
 grep -v '^  {"tool": "event_pipeline"' "$RAW" >"$OUT" || true
 check async
 

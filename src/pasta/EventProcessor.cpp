@@ -66,12 +66,6 @@ private:
   const EventProcessor *Saved;
 };
 
-ProcessorOptions withAnalysisThreads(std::size_t Threads) {
-  ProcessorOptions Opts;
-  Opts.AnalysisThreads = Threads;
-  return Opts;
-}
-
 EventArenaOptions arenaOptionsOf(const ProcessorOptions &Opts) {
   EventArenaOptions ArenaOpts;
   ArenaOpts.Shards = Opts.ArenaShards;
@@ -85,11 +79,8 @@ bool EventProcessor::inDispatchContext() const {
   return CurrentLane.Owner == this || InlineDispatch == this;
 }
 
-EventProcessor::EventProcessor(std::size_t DeviceAnalysisThreads)
-    : EventProcessor(withAnalysisThreads(DeviceAnalysisThreads)) {}
-
 EventProcessor::EventProcessor(const ProcessorOptions &Opts)
-    : Arena(arenaOptionsOf(Opts)), AnalysisThreads(Opts.AnalysisThreads) {
+    : Arena(arenaOptionsOf(Opts)) {
   if (Opts.Validate) {
     Val = std::make_unique<Validator>();
     Arena.setValidator(Val.get());
@@ -642,12 +633,9 @@ void EventProcessor::onAccessBatch(const sim::LaunchInfo &Info,
   for (std::uint32_t I : Table.RecordEntries) {
     Tool *T = Table.Entries[I].T;
     if (DeviceAnalysis *Analysis = T->deviceAnalysis()) {
-      // GPU-resident model: reduce the batch concurrently on the device
-      // analysis threads (paper Fig. 2b).
-      AnalysisThreads.parallelFor(
-          Count, [&](std::size_t Begin, std::size_t End) {
-            Analysis->processRecords(Info, Records + Begin, End - Begin);
-          });
+      // GPU-resident model (paper Fig. 2b): the tool's in-situ reducer
+      // takes the whole batch; the device's cost model charged it.
+      Analysis->processRecords(Info, Records, Count);
       Core.DeviceAnalyzedRecords.fetch_add(Count, std::memory_order_relaxed);
     } else {
       // Conventional host-side model: one thread sees the whole batch.

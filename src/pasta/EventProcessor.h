@@ -86,10 +86,10 @@
 /// the call is rejected with a diagnostic (the same rule flush()
 /// enforces for lane threads).
 ///
-/// The GPU-resident collect-and-analyze model (paper Fig. 2b) is realized
-/// by a host thread pool standing in for device analysis warps: tools
-/// returning a DeviceAnalysis get their records reduced concurrently, for
-/// real, while the *simulated* cost was already charged by the device's
+/// The GPU-resident collect-and-analyze model (paper Fig. 2b): tools
+/// returning a DeviceAnalysis get each record batch reduced by one
+/// processRecords call on the delivering thread, while the *simulated*
+/// cost of the device-side reduction was already charged by the device's
 /// cost model.
 ///
 //===----------------------------------------------------------------------===//
@@ -104,7 +104,6 @@
 #include "pasta/RangeFilter.h"
 #include "pasta/Tool.h"
 #include "sim/Trace.h"
-#include "support/ThreadPool.h"
 
 #include <array>
 #include <atomic>
@@ -197,7 +196,9 @@ struct DispatchLaneStats {
 
 /// Dispatch-unit configuration.
 struct ProcessorOptions {
-  /// Device-analysis thread-pool width (0 = hardware concurrency).
+  /// Ignored: device analysis runs on the delivering thread. Kept
+  /// because pastabench still sets it; it goes with the next change to
+  /// the benchmark.
   std::size_t AnalysisThreads = 0;
   /// Decouple event collection from tool analysis on dispatch lanes.
   bool AsyncEvents = false;
@@ -291,10 +292,7 @@ private:
 /// Preprocessing + dispatch layer between the event handler and tools.
 class EventProcessor : public sim::TraceSink {
 public:
-  /// \p DeviceAnalysisThreads sizes the host stand-in for the device
-  /// analysis warps (0 = hardware concurrency).
-  explicit EventProcessor(std::size_t DeviceAnalysisThreads = 0);
-  explicit EventProcessor(const ProcessorOptions &Opts);
+  explicit EventProcessor(const ProcessorOptions &Opts = {});
   ~EventProcessor() override;
 
   /// Adds a tool (not owned) and publishes a new routing-table epoch —
@@ -368,12 +366,13 @@ public:
   // sim::TraceSink — fine-grained device records
   //===--------------------------------------------------------------------===
   // Record batches reference transient device buffers and are analyzed
-  // inline on the delivering thread; in async mode each delivery first
-  // flushes every lane so records never observe tool state older than
-  // the coarse events preceding them. Only tools whose subscription
-  // declares the matching interest are invoked. A delivery is an
-  // admission in flight: the reconfiguration contract keeps swaps out
-  // of it.
+  // inline on the delivering thread, one batch at a time: a tool's
+  // onAccessBatch or its DeviceAnalysis::processRecords gets the whole
+  // batch in one call. In async mode each delivery first flushes every
+  // lane so records never observe tool state older than the coarse
+  // events preceding them. Only tools whose subscription declares the
+  // matching interest are invoked. A delivery is an admission in
+  // flight: the reconfiguration contract keeps swaps out of it.
   void onKernelBegin(const sim::LaunchInfo &Info) override;
   void onAccessBatch(const sim::LaunchInfo &Info,
                      const sim::MemAccessRecord *Records,
@@ -462,7 +461,6 @@ private:
   /// Shared stack context: written at admission, read by synchronous
   /// dispatch and the record-delivery path.
   CallStackBuilder SharedStacks;
-  ThreadPool AnalysisThreads;
   /// Core counters live as atomics: dispatch lanes increment them while
   /// producers may snapshot via stats() (e.g. a monitor polling queue
   /// counters mid-run).

@@ -324,6 +324,9 @@ public:
     Opts.DeviceBufferRecords = Records;
     return *this;
   }
+  /// Ignored, like ProcessorOptions::AnalysisThreads: device analysis
+  /// runs on the delivering thread. Kept because pastabench still calls
+  /// it; it goes with the next change to the benchmark.
   SessionBuilder &analysisThreads(std::size_t Threads) {
     Opts.Pipeline.AnalysisThreads = Threads;
     return *this;

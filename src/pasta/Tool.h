@@ -9,8 +9,8 @@
 /// derive from Tool and override only the hooks they need — the paper's
 /// "create custom analyses by simply overriding functions in the tool
 /// collection template". Tools that want GPU-resident analysis (Fig. 2b)
-/// return a DeviceAnalysis; its processRecords runs concurrently on the
-/// processor's device-analysis threads and must be thread-safe.
+/// return a DeviceAnalysis; its processRecords reduces each record batch
+/// on the delivering thread, one batch at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,14 +136,16 @@ struct Subscription {
   CapabilitySet requiredCapabilities() const;
 };
 
-/// Thread-safe reducer for fine-grained device records (the tool-supplied
-/// __device__ helper of the paper's GPU-resident model).
+/// Reducer for fine-grained device records (the tool-supplied __device__
+/// helper of the paper's GPU-resident model).
 class DeviceAnalysis {
 public:
   virtual ~DeviceAnalysis();
 
-  /// Reduces one chunk of records in-situ. Called concurrently from the
-  /// device-analysis thread pool.
+  /// Reduces one record batch in-situ. Called as Tool::onAccessBatch is:
+  /// once per batch, on the delivering thread, one batch at a time and
+  /// after every earlier coarse event has been dispatched, so it needs
+  /// no lock around its tool's state.
   virtual void processRecords(const sim::LaunchInfo &Info,
                               const sim::MemAccessRecord *Records,
                               std::size_t Count) = 0;

@@ -140,7 +140,6 @@ void RedundantLoadTool::InSitu::processRecords(
   for (std::size_t I = 0; I < Count; ++I)
     Local[Records[I].Address] += Records[I].Multiplicity;
 
-  std::lock_guard<std::mutex> Lock(Parent.Mutex);
   for (const auto &[Addr, Hits] : Local) {
     std::uint64_t &Seen = Parent.SeenAddresses[Addr];
     // First access to an address is useful; repeats are redundancy

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -136,7 +135,6 @@ private:
   };
 
   InSitu Reducer;
-  std::mutex Mutex;
   std::unordered_map<sim::DeviceAddr, std::uint64_t> SeenAddresses;
   std::uint64_t CurrentAccesses = 0;
   std::uint64_t CurrentRedundant = 0;

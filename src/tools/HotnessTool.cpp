@@ -56,7 +56,6 @@ void HotnessTool::Reducer::processRecords(const sim::LaunchInfo &Info,
     RunSum += Records[I].Multiplicity;
   }
   Local[Block] += RunSum;
-  std::lock_guard<std::mutex> Lock(Parent.MergeMutex);
   for (const auto &[Block, Accesses] : Local)
     Parent.Heatmap[{Block, Parent.CurrentWindow}] += Accesses;
 }

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,7 +40,8 @@ public:
   std::string name() const override { return "hotness"; }
 
   /// Kernel launches (window bookkeeping) + access records, on one
-  /// serial lane; the in-situ reducer is separately synchronized.
+  /// serial lane; the in-situ reducer runs after a flush of that lane,
+  /// so it reads the current window without a lock.
   Subscription subscription() override;
 
   void onKernelLaunch(const Event &E) override;
@@ -91,7 +91,6 @@ private:
   std::uint64_t BlockBytes;
   std::uint32_t WindowKernels = 8;
   Reducer InSituReducer;
-  std::mutex MergeMutex;
   std::uint64_t KernelIndex = 0;
   std::uint32_t CurrentWindow = 0;
   std::uint32_t LastWindow = 0;

@@ -107,9 +107,8 @@ WorkingSetTool::lookupObject(sim::DeviceAddr Addr) const {
   return R;
 }
 
-void WorkingSetTool::countChunk(
-    const sim::MemAccessRecord *Records, std::size_t Count,
-    std::unordered_map<sim::DeviceAddr, std::uint64_t> &Counts) const {
+void WorkingSetTool::countChunk(const sim::MemAccessRecord *Records,
+                                std::size_t Count) {
   // Starts empty (Lo == Hi), so the first record looks up.
   Resolution Cached;
   std::uint64_t RunSum = 0;
@@ -119,7 +118,7 @@ void WorkingSetTool::countChunk(
       Resolution Next = lookupObject(Addr);
       if (Next.Base != Cached.Base) {
         if (Cached.Base != 0)
-          Counts[Cached.Base] += RunSum;
+          CurrentCounts[Cached.Base] += RunSum;
         RunSum = 0;
       }
       Cached = Next;
@@ -127,25 +126,14 @@ void WorkingSetTool::countChunk(
     RunSum += Records[I].Multiplicity;
   }
   if (Cached.Base != 0)
-    Counts[Cached.Base] += RunSum;
-}
-
-void WorkingSetTool::mergeCounts(
-    const std::unordered_map<sim::DeviceAddr, std::uint64_t> &Local) {
-  std::lock_guard<std::mutex> Lock(MergeMutex);
-  for (const auto &[Base, Count] : Local)
-    CurrentCounts[Base] += Count;
+    CurrentCounts[Cached.Base] += RunSum;
 }
 
 void WorkingSetTool::Reducer::processRecords(
     const sim::LaunchInfo &Info, const sim::MemAccessRecord *Records,
     std::size_t Count) {
   (void)Info;
-  // Chunk-local counting then one merge — the atomics-on-result-buffer
-  // pattern of the paper's device helper, minus false sharing.
-  std::unordered_map<sim::DeviceAddr, std::uint64_t> Local;
-  Parent.countChunk(Records, Count, Local);
-  Parent.mergeCounts(Local);
+  Parent.countChunk(Records, Count);
 }
 
 DeviceAnalysis *WorkingSetTool::deviceAnalysis() {
@@ -157,7 +145,7 @@ void WorkingSetTool::onAccessBatch(const sim::LaunchInfo &Info,
                                    std::size_t Count) {
   (void)Info;
   // Host-side model: a single thread walks every record.
-  countChunk(Records, Count, CurrentCounts);
+  countChunk(Records, Count);
 }
 
 void WorkingSetTool::onKernelTraceEnd(

@@ -10,9 +10,9 @@
 /// memory footprints and the workload's working set (the maximum
 /// footprint of any single kernel). Two analysis variants mirror Fig. 8:
 ///
-///  * DeviceResident — PASTA's GPU-resident model: a thread-safe reducer
-///    updates the object -> access-count map in-situ on the device
-///    analysis threads; only the result map returns to the host.
+///  * DeviceResident — PASTA's GPU-resident model: an in-situ reducer
+///    updates the object -> access-count map as each record batch is
+///    delivered; only the result map returns to the host.
 ///  * HostSide — the conventional Sanitizer-MemoryTracker / NVBit-MemTrace
 ///    model: raw records cross to the host and one thread counts them.
 ///
@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,8 +61,8 @@ public:
 
   /// Resource + kernel-launch events, access records and per-launch
   /// breakdowns, on one serial lane (the interval maps and the current-
-  /// kernel accumulator are only guarded against the device-analysis
-  /// threads, not against other coarse hooks).
+  /// kernel accumulator are unguarded; record deliveries follow a flush
+  /// of the coarse hooks).
   Subscription subscription() override;
 
   /// Per-kernel result.
@@ -149,16 +148,10 @@ private:
   /// tensor intervals.
   Resolution lookupObject(sim::DeviceAddr Addr) const;
 
-  /// Adds the records' multiplicities to their objects' counts in
-  /// \p Counts. Looks up only a record that leaves the last lookup's
-  /// range, and updates \p Counts once per change of object.
-  void countChunk(const sim::MemAccessRecord *Records, std::size_t Count,
-                  std::unordered_map<sim::DeviceAddr, std::uint64_t> &Counts)
-      const;
-
-  /// Merges a chunk-local map into the current kernel's map.
-  void mergeCounts(
-      const std::unordered_map<sim::DeviceAddr, std::uint64_t> &Local);
+  /// Adds the records' multiplicities to their objects' counts in the
+  /// current kernel's map. Looks up only a record that leaves the last
+  /// lookup's range, and updates the map once per change of object.
+  void countChunk(const sim::MemAccessRecord *Records, std::size_t Count);
 
   WsAnalysisMode Mode;
   Reducer InSituReducer;
@@ -173,7 +166,6 @@ private:
 
   /// Current kernel accumulation (object base -> access count).
   std::unordered_map<sim::DeviceAddr, std::uint64_t> CurrentCounts;
-  std::mutex MergeMutex;
   std::string CurrentKernelName;
   std::uint64_t CurrentGridId = 0;
 

@@ -350,7 +350,6 @@ private:
 
 ProcessorOptions arenaOptions(std::size_t Lanes) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = 256;
   Opts.DispatchThreads = Lanes;
@@ -490,7 +489,7 @@ TEST(ArenaPipeline, SyncModeLeavesPayloadsAlone) {
   // Synchronous dispatch borrows from the producing frame; nothing is
   // interned and the arena stays empty (stats comparable across modes
   // only where the arena actually runs).
-  EventProcessor Processor(1);
+  EventProcessor Processor;
   HandleProbeTool Probe("probe");
   ASSERT_TRUE(Processor.addTool(&Probe));
   Processor.process(operatorStart("aten::inline"));

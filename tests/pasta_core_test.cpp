@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <thread>
 
 using namespace pasta;
 
@@ -47,7 +47,7 @@ public:
   std::uint64_t HostRecords = 0;
 };
 
-/// Tool with a device-resident reducer counting records concurrently.
+/// Tool with a device-resident reducer counting its calls and records.
 class DeviceTool : public Tool {
 public:
   std::string name() const override { return "device"; }
@@ -62,11 +62,15 @@ public:
   DeviceAnalysis *deviceAnalysis() override { return &Reducer; }
 
   struct Counter : DeviceAnalysis {
-    std::atomic<std::uint64_t> Records{0};
+    std::uint64_t Calls = 0;
+    std::uint64_t Records = 0;
+    std::thread::id Caller;
     void processRecords(const sim::LaunchInfo &,
                         const sim::MemAccessRecord *,
                         std::size_t Count) override {
+      ++Calls;
       Records += Count;
+      Caller = std::this_thread::get_id();
     }
   };
   Counter Reducer;
@@ -170,7 +174,7 @@ TEST_F(RangeFilterTest, StopWithoutStartIsSafe) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(RangeFilterTest, ProcessorDispatchesToSpecificHooks) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   RecordingTool Tool;
   Processor.addTool(&Tool);
 
@@ -192,7 +196,7 @@ TEST_F(RangeFilterTest, ProcessorDispatchesToSpecificHooks) {
 TEST_F(RangeFilterTest, ProcessorFiltersKernelsOutsideGridWindow) {
   setEnvOverride("START_GRID_ID", "5");
   setEnvOverride("END_GRID_ID", "6");
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   RecordingTool Tool;
   Processor.addTool(&Tool);
   for (std::uint64_t Grid = 1; Grid <= 10; ++Grid)
@@ -202,7 +206,7 @@ TEST_F(RangeFilterTest, ProcessorFiltersKernelsOutsideGridWindow) {
 }
 
 TEST_F(RangeFilterTest, ProcessorRoutesRecordsToHostPath) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   RecordingTool Tool;
   Processor.addTool(&Tool);
   std::vector<sim::MemAccessRecord> Records(100);
@@ -215,21 +219,24 @@ TEST_F(RangeFilterTest, ProcessorRoutesRecordsToHostPath) {
 }
 
 TEST_F(RangeFilterTest, ProcessorRoutesRecordsToDevicePath) {
-  EventProcessor Processor(4);
+  EventProcessor Processor;
   DeviceTool Tool;
   Processor.addTool(&Tool);
   std::vector<sim::MemAccessRecord> Records(100000);
   sim::LaunchInfo Info;
   Info.GridId = 1;
   Processor.onAccessBatch(Info, Records.data(), Records.size());
-  EXPECT_EQ(Tool.Reducer.Records.load(), 100000u);
+  // One call with the whole batch, on the delivering thread.
+  EXPECT_EQ(Tool.Reducer.Calls, 1u);
+  EXPECT_EQ(Tool.Reducer.Records, 100000u);
+  EXPECT_EQ(Tool.Reducer.Caller, std::this_thread::get_id());
   EXPECT_EQ(Processor.stats().DeviceAnalyzedRecords, 100000u);
   EXPECT_EQ(Processor.stats().HostAnalyzedRecords, 0u);
 }
 
 TEST_F(RangeFilterTest, ProcessorDropsRecordsOutsideWindow) {
   setEnvOverride("START_GRID_ID", "100");
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   RecordingTool Tool;
   Processor.addTool(&Tool);
   std::vector<sim::MemAccessRecord> Records(10);
@@ -240,7 +247,7 @@ TEST_F(RangeFilterTest, ProcessorDropsRecordsOutsideWindow) {
 }
 
 TEST_F(RangeFilterTest, ProcessorUpdatesPythonContext) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   Event Op;
   Op.Kind = EventKind::OperatorStart;
   Op.OpName = "aten::linear";
@@ -250,7 +257,7 @@ TEST_F(RangeFilterTest, ProcessorUpdatesPythonContext) {
 }
 
 TEST_F(RangeFilterTest, MultipleToolsAllReceive) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   RecordingTool A, B;
   Processor.addTool(&A);
   Processor.addTool(&B);

@@ -54,7 +54,7 @@ sim::KernelDesc simpleKernel(sim::DeviceAddr Base) {
 /// runtime and returns the normalized events.
 std::vector<Event> runSequence(bool Amd) {
   sim::System System(Amd ? sim::mi300xSpec() : sim::a100Spec());
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   CollectTool Tool;
   Processor.addTool(&Tool);
   EventHandler Handler(Processor);
@@ -167,7 +167,7 @@ TEST(HandlerNormalizationTest, CopyDirectionNormalized) {
 }
 
 TEST(HandlerNormalizationTest, DlCallbacksBecomeTensorEvents) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   CollectTool Tool;
   Processor.addTool(&Tool);
   EventHandler Handler(Processor);
@@ -196,7 +196,7 @@ TEST(HandlerNormalizationTest, DlCallbacksBecomeTensorEvents) {
 }
 
 TEST(HandlerNormalizationTest, RecordFunctionBecomesOperatorEvents) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   CollectTool Tool;
   Processor.addTool(&Tool);
   EventHandler Handler(Processor);
@@ -223,7 +223,7 @@ TEST(HandlerNormalizationTest, RecordFunctionBecomesOperatorEvents) {
 TEST(HandlerNormalizationTest, DetachStopsDelivery) {
   sim::System System(sim::a100Spec());
   cuda::CudaRuntime Runtime(System);
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   CollectTool Tool;
   Processor.addTool(&Tool);
   EventHandler Handler(Processor);
@@ -239,7 +239,7 @@ TEST(HandlerNormalizationTest, DetachStopsDelivery) {
 TEST(HandlerNormalizationTest, NvbitBackendRejectedOnAmd) {
   sim::System System(sim::mi300xSpec());
   hip::HipRuntime Runtime(System);
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   EventHandler Handler(Processor);
   TraceOptions Opts;
   Opts.Backend = TraceBackend::NvbitCpu;

@@ -93,7 +93,6 @@ Event copyEvent(sim::DeviceAddr Address, int Device = 0) {
 ProcessorOptions asyncOptions(std::size_t Depth,
                               std::size_t DispatchThreads = 1) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = Depth;
   Opts.DispatchThreads = DispatchThreads;
@@ -642,7 +641,7 @@ TEST(AsyncPipeline, AddToolAfterPipelineStartPublishesNewEpoch) {
 }
 
 TEST(AsyncPipeline, SubscriptionOfReportsAttachedContracts) {
-  EventProcessor Processor(2);
+  EventProcessor Processor;
   ConcurrentCountTool Concurrent;
   CollectTool Default;
   Processor.addTool(&Concurrent);

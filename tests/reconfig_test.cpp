@@ -128,7 +128,6 @@ Event copyEvent(sim::DeviceAddr Address, int Device = 0) {
 
 ProcessorOptions asyncOptions(std::size_t Depth, std::size_t Threads = 1) {
   ProcessorOptions Opts;
-  Opts.AnalysisThreads = 1;
   Opts.AsyncEvents = true;
   Opts.QueueDepth = Depth;
   Opts.DispatchThreads = Threads;

@@ -9,17 +9,12 @@
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <numeric>
-#include <thread>
 
 using namespace pasta;
 
@@ -201,112 +196,6 @@ TEST_P(PercentileSweep, LinearSequencePercentiles) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PercentileSweep,
                          ::testing::Values(2, 3, 5, 10, 101, 1000));
-
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool Pool(4);
-  std::atomic<int> Counter{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&Counter] { ++Counter; });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool Pool(8);
-  std::vector<std::atomic<int>> Hits(10000);
-  Pool.parallelFor(Hits.size(), [&](std::size_t Begin, std::size_t End) {
-    for (std::size_t I = Begin; I < End; ++I)
-      ++Hits[I];
-  });
-  for (const auto &Hit : Hits)
-    EXPECT_EQ(Hit.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroCount) {
-  ThreadPool Pool(2);
-  bool Ran = false;
-  Pool.parallelFor(0, [&](std::size_t, std::size_t) { Ran = true; });
-  EXPECT_FALSE(Ran);
-}
-
-TEST(ThreadPoolTest, SmallCountRunsInline) {
-  ThreadPool Pool(8);
-  std::atomic<long> Sum{0};
-  Pool.parallelFor(3, [&](std::size_t Begin, std::size_t End) {
-    for (std::size_t I = Begin; I < End; ++I)
-      Sum += static_cast<long>(I);
-  });
-  EXPECT_EQ(Sum.load(), 3);
-}
-
-TEST(ThreadPoolTest, SizeMatchesRequest) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.size(), 3u);
-}
-
-// Regression: wait() used to be the completion mechanism of parallelFor,
-// making it a *global* wait — two overlapping calls waited on each
-// other's tasks, and a parallelFor issued from inside a pool task
-// deadlocked waiting for a worker that would never come free.
-
-TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock) {
-  ThreadPool Pool(2);
-  std::atomic<int> Inner{0};
-  std::atomic<int> OuterDone{0};
-  // Both workers enter a task that itself runs parallelFor on the same
-  // pool: with no free worker left, the calling thread must execute the
-  // chunks itself.
-  for (int T = 0; T < 2; ++T)
-    Pool.submit([&] {
-      Pool.parallelFor(64, [&](std::size_t Begin, std::size_t End) {
-        Inner += static_cast<int>(End - Begin);
-      });
-      ++OuterDone;
-    });
-  Pool.wait();
-  EXPECT_EQ(OuterDone.load(), 2);
-  EXPECT_EQ(Inner.load(), 128);
-}
-
-TEST(ThreadPoolTest, OverlappingParallelForsCompleteIndependently) {
-  ThreadPool Pool(4);
-  // Thread A's chunks park on this latch; thread B's parallelFor must
-  // return while A is still blocked (a global wait would strand B).
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  bool Open = false;
-  std::atomic<int> BlockedChunks{0};
-
-  std::thread A([&] {
-    Pool.parallelFor(64, [&](std::size_t, std::size_t) {
-      ++BlockedChunks;
-      std::unique_lock<std::mutex> Lock(Mutex);
-      Cv.wait(Lock, [&] { return Open; });
-    });
-  });
-  while (BlockedChunks.load() == 0)
-    std::this_thread::yield();
-
-  std::atomic<int> BDone{0};
-  std::thread B([&] {
-    Pool.parallelFor(64, [&](std::size_t Begin, std::size_t End) {
-      BDone += static_cast<int>(End - Begin);
-    });
-  });
-  B.join(); // must not hang while A's chunks are gated
-  EXPECT_EQ(BDone.load(), 64);
-
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Open = true;
-  }
-  Cv.notify_all();
-  A.join();
-}
 
 //===----------------------------------------------------------------------===//
 // TablePrinter

@@ -422,77 +422,72 @@ void expectSameKernels(const std::vector<WorkingSetTool::KernelRecord> &Got,
 TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
   // Both working_set modes and hotness count each run of records once;
   // their results must equal a reference that resolves every record.
-  // Three analysis threads split batches at chunk edges, which also
-  // splits runs.
   for (std::uint64_t Seed : {1u, 2u, 3u}) {
-    for (std::size_t Threads : {1u, 3u}) {
-      SCOPED_TRACE("seed " + std::to_string(Seed) + ", " +
-                   std::to_string(Threads) + " analysis threads");
-      EventProcessor Processor(Threads);
-      WorkingSetTool Device(WsAnalysisMode::DeviceResident);
-      WorkingSetTool Host(WsAnalysisMode::HostSide);
-      HotnessTool Hot;
-      Hot.setWindowKernels(2);
-      Processor.addTool(&Device);
-      Processor.addTool(&Host);
-      Processor.addTool(&Hot);
-      PerRecordReference Reference(2);
-      auto Send = [&](const Event &E) {
-        Processor.process(E);
-        Reference.apply(E);
-      };
-      // Reallocates the reused tensor at its base with another size.
-      std::uint64_t ReusedBytes = MiB / 2;
-      auto Reallocate = [&] {
-        Send(objectEvent(EventKind::TensorReclaim, Reused, ReusedBytes));
-        ReusedBytes = ReusedBytes == MiB / 2 ? MiB : MiB / 2;
-        Send(objectEvent(EventKind::TensorAlloc, Reused, ReusedBytes));
-      };
-
-      Send(objectEvent(EventKind::MemoryAlloc, 0, MiB));
-      Send(objectEvent(EventKind::MemoryAlloc, MiB, MiB));
-      Send(objectEvent(EventKind::MemoryAlloc, Pool, PoolBytes));
-      Send(objectEvent(EventKind::TensorAlloc, Pool, MiB));
-      Send(objectEvent(EventKind::TensorAlloc, Outer, 2 * MiB));
-      Send(objectEvent(EventKind::TensorAlloc, Inner, MiB / 4));
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    EventProcessor Processor;
+    WorkingSetTool Device(WsAnalysisMode::DeviceResident);
+    WorkingSetTool Host(WsAnalysisMode::HostSide);
+    HotnessTool Hot;
+    Hot.setWindowKernels(2);
+    Processor.addTool(&Device);
+    Processor.addTool(&Host);
+    Processor.addTool(&Hot);
+    PerRecordReference Reference(2);
+    auto Send = [&](const Event &E) {
+      Processor.process(E);
+      Reference.apply(E);
+    };
+    // Reallocates the reused tensor at its base with another size.
+    std::uint64_t ReusedBytes = MiB / 2;
+    auto Reallocate = [&] {
+      Send(objectEvent(EventKind::TensorReclaim, Reused, ReusedBytes));
+      ReusedBytes = ReusedBytes == MiB / 2 ? MiB : MiB / 2;
       Send(objectEvent(EventKind::TensorAlloc, Reused, ReusedBytes));
-      Send(objectEvent(EventKind::MemoryAlloc, AllocA, MiB));
-      Send(objectEvent(EventKind::MemoryAlloc, AllocB, MiB / 2));
-      Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 4));
+    };
 
-      BatchGenerator Gen(Seed);
-      for (std::uint64_t Grid = 1; Grid <= 12; ++Grid) {
-        if (Grid % 4 == 0) {
-          Send(objectEvent(EventKind::MemoryFree, AllocC, MiB / 4));
-          Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 8));
-        }
-        Event Launch;
-        Launch.Kind = EventKind::KernelLaunch;
-        Launch.GridId = Grid;
-        Send(Launch);
-        sim::LaunchInfo Info;
-        Info.GridId = Grid;
-        for (int Batches = Gen.pick(1, 3); Batches > 0; --Batches) {
-          std::vector<sim::MemAccessRecord> Batch = Gen.next();
-          Processor.onAccessBatch(Info, Batch.data(), Batch.size());
-          Reference.records(Batch);
-          Reallocate(); // between two batches of one kernel
-        }
-        Processor.onKernelEnd(Info, sim::TraceTimeBreakdown{});
-        Reference.kernelEnd();
-      }
+    Send(objectEvent(EventKind::MemoryAlloc, 0, MiB));
+    Send(objectEvent(EventKind::MemoryAlloc, MiB, MiB));
+    Send(objectEvent(EventKind::MemoryAlloc, Pool, PoolBytes));
+    Send(objectEvent(EventKind::TensorAlloc, Pool, MiB));
+    Send(objectEvent(EventKind::TensorAlloc, Outer, 2 * MiB));
+    Send(objectEvent(EventKind::TensorAlloc, Inner, MiB / 4));
+    Send(objectEvent(EventKind::TensorAlloc, Reused, ReusedBytes));
+    Send(objectEvent(EventKind::MemoryAlloc, AllocA, MiB));
+    Send(objectEvent(EventKind::MemoryAlloc, AllocB, MiB / 2));
+    Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 4));
 
-      ASSERT_GT(Reference.Heatmap.count({0, 0}), 0u) << "block 0 unused";
-      {
-        SCOPED_TRACE("working_set (GPU-resident)");
-        expectSameKernels(Device.kernels(), Reference.Kernels);
+    BatchGenerator Gen(Seed);
+    for (std::uint64_t Grid = 1; Grid <= 12; ++Grid) {
+      if (Grid % 4 == 0) {
+        Send(objectEvent(EventKind::MemoryFree, AllocC, MiB / 4));
+        Send(objectEvent(EventKind::MemoryAlloc, AllocC, MiB / 8));
       }
-      {
-        SCOPED_TRACE("working_set (host-side)");
-        expectSameKernels(Host.kernels(), Reference.Kernels);
+      Event Launch;
+      Launch.Kind = EventKind::KernelLaunch;
+      Launch.GridId = Grid;
+      Send(Launch);
+      sim::LaunchInfo Info;
+      Info.GridId = Grid;
+      for (int Batches = Gen.pick(1, 3); Batches > 0; --Batches) {
+        std::vector<sim::MemAccessRecord> Batch = Gen.next();
+        Processor.onAccessBatch(Info, Batch.data(), Batch.size());
+        Reference.records(Batch);
+        Reallocate(); // between two batches of one kernel
       }
-      EXPECT_EQ(Hot.heatmap(), Reference.Heatmap);
+      Processor.onKernelEnd(Info, sim::TraceTimeBreakdown{});
+      Reference.kernelEnd();
     }
+
+    ASSERT_GT(Reference.Heatmap.count({0, 0}), 0u) << "block 0 unused";
+    {
+      SCOPED_TRACE("working_set (GPU-resident)");
+      expectSameKernels(Device.kernels(), Reference.Kernels);
+    }
+    {
+      SCOPED_TRACE("working_set (host-side)");
+      expectSameKernels(Host.kernels(), Reference.Kernels);
+    }
+    EXPECT_EQ(Hot.heatmap(), Reference.Heatmap);
   }
 }
 

@@ -155,7 +155,7 @@ TEST(Validate, DefaultTracksBuildKnob) {
   // default everywhere, and every knob layer must agree with it.
   EXPECT_EQ(ProcessorOptions().Validate, validateDefault());
   EXPECT_EQ(SessionOptions().Pipeline.Validate, validateDefault());
-  EventProcessor P(static_cast<std::size_t>(2));
+  EventProcessor P;
   EXPECT_EQ(P.validator() != nullptr, validateDefault());
 }
 
