@@ -64,7 +64,6 @@ public:
     Subscription Sub;
     Sub.Kinds = EventKindMask::all();
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onEvent(const Event &E) override {

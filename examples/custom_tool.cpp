@@ -14,8 +14,7 @@
 // (no fan-out of anything else, the generic hook included), the session
 // negotiates coarse-only instrumentation from the same declaration, and
 // because its counters are atomics it can honestly claim the Concurrent
-// contract — any dispatch lane may invoke it, so an asynchronous session
-// with several dispatch threads never serializes on it.
+// contract: its hooks are safe to run at any time, from any thread.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,8 +84,6 @@ int main() {
                                    .model("alexnet")
                                    .training()
                                    .iterations(2)
-                                   .asyncEvents()
-                                   .dispatchThreads(2)
                                    .build(Err);
   if (!S) {
     std::fprintf(stderr, "error: %s\n", Err.message().c_str());

@@ -9,7 +9,6 @@
 //   accelprof [-v] -t <tool> [-b <backend>] [-g <gpu>] [--train]
 //             [--iters N] [--managed] [--oversub F]
 //             [--prefetch none|object|tensor] [--format text|json|csv]
-//             [--async] [--queue-depth N] [--dispatch-threads N]
 //             [--capture FILE]
 //             [--connect SOCKET [--tenant NAME]] <model>
 //   accelprof -t <tool> -b replay --trace FILE [--replay-speed S]
@@ -21,8 +20,6 @@
 //       accelprof -t kernel_frequency --train resnet18
 //       accelprof -t hotness -b cs-gpu --managed --oversub 3 gpt2
 //       accelprof -t working_set -b cs-gpu --format json bert
-//       accelprof -t kernel_frequency -b cs-gpu --async --queue-depth 1024 bert
-//       accelprof -t mem_usage_timeline --async --dispatch-threads 4 bert
 //       accelprof -t kernel_frequency --capture run.trace bert
 //       accelprof -t working_set -b replay --trace run.trace
 //       accelprof --serve /tmp/pasta.sock --report-dir reports &
@@ -32,10 +29,6 @@
 // <model> is a Table IV zoo entry (alexnet, resnet18, resnet34, gpt2,
 // bert, whisper). Tools: see `accelprof --list-tools`; backends:
 // `accelprof --list-backends`.
-//
-// Under --async a lane queue that fills back-pressures the profiled run
-// until its lane catches up: nothing is dropped, so the tool reports
-// match a synchronous run's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -69,9 +62,7 @@ int usage(const char *Argv0) {
       "          [-g A100|RTX3060|MI300X] [--train] [--iters N]\n"
       "          [--managed] [--oversub F] [--prefetch none|object|tensor]\n"
       "          [--granularity BYTES] [--sample-rate R]\n"
-      "          [--format text|json|csv]\n"
-      "          [--async] [--queue-depth N]\n"
-      "          [--dispatch-threads N] [--validate]\n"
+      "          [--format text|json|csv] [--validate]\n"
       "          [--capture FILE] [--connect SOCKET [--tenant NAME]]\n"
       "          [--connect-timeout S] [--connect-retries N]\n"
       "          [--reconnect [--reconnect-max N] [--spill-max-bytes B]]\n"
@@ -79,7 +70,7 @@ int usage(const char *Argv0) {
       "       %s -t <tool> -b replay --trace FILE [--replay-speed S]\n"
       "       %s --serve SOCKET [-t <tool>]... [--format text|json|csv]\n"
       "          [--report-dir DIR] [--report-every SECONDS] [--validate]\n"
-      "          [--lanes N] [--pipeline-report] [--idle-timeout S]\n"
+      "          [--pipeline-report] [--idle-timeout S]\n"
       "          [--quota-max-connections N] [--quota-events-per-sec R]\n"
       "          [--quota-bytes-per-sec R] [--quota-policy throttle|shed]\n"
       "       %s --control SOCKET <verb> [args...]\n"
@@ -153,8 +144,6 @@ int listTools() {
       Fine += " +kernel-trace";
     if (Sub.UvmCounters)
       Fine += " +uvm-counters";
-    if (Sub.CapturesStacks)
-      Fine += " +stacks";
     std::printf("  %-20s contract=%-15s requires=%s\n", Name.c_str(),
                 executionModelName(Sub.Model),
                 T->requirements().str().c_str());
@@ -205,7 +194,6 @@ int main(int Argc, char **Argv) {
   std::string GpuName = "A100";
   std::string FormatName = "text";
   double ReportEvery = 0.0;
-  std::size_t ServeLanes = 0;
   std::uint64_t QuotaMaxConnections = 0;
   double QuotaEventsPerSec = 0.0;
   double QuotaBytesPerSec = 0.0;
@@ -214,7 +202,6 @@ int main(int Argc, char **Argv) {
   bool PipelineReport = false;
   bool Validate = false;
   bool Verbose = false;
-  bool Async = false;
   double Oversub = 0.0;
   ReportFormat Format = ReportFormat::Text;
 
@@ -294,19 +281,6 @@ int main(int Argc, char **Argv) {
       }
       Builder.spillMaxBytes(Bytes);
       Builder.reconnect();
-    } else if (Arg == "--lanes") {
-      // Serve mode: tenant sessions dispatch on N lanes. Client mode:
-      // same as --dispatch-threads, a fixed lane count on the async
-      // pipeline.
-      long long N = std::atoll(NextValue("--lanes"));
-      if (N <= 0 || N > 64) {
-        std::fprintf(stderr, "error: --lanes must be in [1, 64]\n");
-        return 2;
-      }
-      ServeLanes = static_cast<std::size_t>(N);
-      Builder.dispatchThreads(static_cast<std::size_t>(N));
-      Builder.asyncEvents();
-      Async = true;
     } else if (Arg == "--quota-max-connections") {
       long long N = std::atoll(NextValue("--quota-max-connections"));
       if (N <= 0) {
@@ -385,32 +359,6 @@ int main(int Argc, char **Argv) {
       // first broken pipeline contract instead of corrupting reports.
       Builder.validate();
       Validate = true;
-    } else if (Arg == "--async") {
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--queue-depth") {
-      long long Depth = std::atoll(NextValue("--queue-depth"));
-      if (Depth <= 0) {
-        std::fprintf(stderr, "error: --queue-depth must be positive\n");
-        return 2;
-      }
-      // Tuning the queue only makes sense asynchronously; imply --async
-      // (the --oversub / --managed precedent).
-      Builder.queueDepth(static_cast<std::size_t>(Depth));
-      Builder.asyncEvents();
-      Async = true;
-    } else if (Arg == "--dispatch-threads") {
-      long long Threads = std::atoll(NextValue("--dispatch-threads"));
-      if (Threads <= 0 || Threads > 64) {
-        std::fprintf(stderr,
-                     "error: --dispatch-threads must be in [1, 64]\n");
-        return 2;
-      }
-      // Lanes only exist asynchronously; imply --async like the other
-      // queue knobs.
-      Builder.dispatchThreads(static_cast<std::size_t>(Threads));
-      Builder.asyncEvents();
-      Async = true;
     } else if (Arg == "--granularity") {
       Builder.recordGranularity(
           static_cast<std::uint64_t>(std::atoll(NextValue("--granularity"))));
@@ -481,7 +429,6 @@ int main(int Argc, char **Argv) {
     ServeOpts.Format = FormatName;
     ServeOpts.ReportEverySeconds = ReportEvery;
     ServeOpts.Gpu = GpuName;
-    ServeOpts.Lanes = ServeLanes;
     ServeOpts.QuotaMaxConnections = QuotaMaxConnections;
     ServeOpts.QuotaEventsPerSec = QuotaEventsPerSec;
     ServeOpts.QuotaBytesPerSec = QuotaBytesPerSec;
@@ -566,11 +513,6 @@ int main(int Argc, char **Argv) {
         formatBytes(Result.Stats.PeakReserved).c_str());
 
   std::unique_ptr<ReportSink> Sink = makeSink(Format, stdout);
-  // The pipeline section leads the tool reports when the async dispatch
-  // unit ran, so drop/sample counters are visible next to the results
-  // they qualify.
-  if (Async)
-    S->writePipelineReport(*Sink);
   S->writeReports(*Sink);
   return 0;
 }

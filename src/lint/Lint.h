@@ -89,7 +89,7 @@ struct SourceFile {
   bool isHeader() const {
     return Path.size() > 2 && Path.compare(Path.size() - 2, 2, ".h") == 0;
   }
-  /// Path's last component ("EventQueue.h").
+  /// Path's last component ("EventArena.h").
   std::string baseName() const;
   /// True when a suppression names \p RuleId (file-wide).
   bool suppresses(const std::string &RuleId) const;

@@ -235,8 +235,7 @@ void checkNondeterminism(const SourceFile &File, const LintContext &,
 
 bool isHotPathFile(const SourceFile &File) {
   static const std::set<std::string> Bases = {
-      "EventQueue.h",     "EventQueue.cpp", "EventArena.h",
-      "EventArena.cpp",   "EventProcessor.h",
+      "EventArena.h", "EventArena.cpp", "EventProcessor.h",
       "EventProcessor.cpp"};
   return Bases.count(File.baseName()) != 0;
 }
@@ -283,43 +282,6 @@ void checkHotPathMemoryOrder(const SourceFile &File, const LintContext &,
               "' without an explicit std::memory_order defaults to "
               "seq_cst on the admission hot path; state the intended "
               "order (and the reasoning it encodes) explicitly"});
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// routing-epoch: the routing-table pointer is read via RoutingEpoch only
-//===----------------------------------------------------------------------===//
-
-void checkRoutingEpoch(const SourceFile &File, const LintContext &,
-                       std::vector<Diagnostic> &Out) {
-  const std::vector<Token> &Toks = File.Tokens;
-  // The one sanctioned home of the atomic table pointer is the
-  // `class RoutingEpoch { ... }` body (EventProcessor.h); find it so
-  // its own member uses are exempt.
-  std::size_t BodyBegin = std::string::npos;
-  std::size_t BodyEnd = std::string::npos;
-  for (std::size_t I = 0; I + 2 < Toks.size(); ++I) {
-    if (!Toks[I].isIdent("class") || !Toks[I + 1].isIdent("RoutingEpoch"))
-      continue;
-    if (!Toks[I + 2].is("{"))
-      continue; // forward declaration or mention
-    BodyBegin = I + 2;
-    BodyEnd = matchBrace(Toks, BodyBegin);
-    break;
-  }
-  for (std::size_t I = 0; I < Toks.size(); ++I) {
-    if (!Toks[I].isIdent("EpochTablePtr"))
-      continue;
-    if (BodyBegin != std::string::npos && I > BodyBegin && I < BodyEnd)
-      continue;
-    Out.push_back(Diagnostic{
-        File.Path, Toks[I].Line, "routing-epoch",
-        "direct access to the routing-table pointer 'EpochTablePtr' "
-        "outside class RoutingEpoch; read the table through "
-        "RoutingEpoch::current() (one acquire load per admission) and "
-        "publish new epochs through publish() — bypassing the accessor "
-        "breaks the acquire/release contract reconfiguration relies "
-        "on"});
   }
 }
 
@@ -705,14 +667,9 @@ const std::vector<Rule> &rules() {
        "event timestamps",
        checkNondeterminism},
       {"hot-path-memory-order",
-       "atomics in EventQueue/EventArena/EventProcessor must name an "
+       "atomics in EventArena/EventProcessor must name an "
        "explicit std::memory_order (no defaulted seq_cst)",
        checkHotPathMemoryOrder},
-      {"routing-epoch",
-       "the epoch-published routing-table pointer is only touched "
-       "inside class RoutingEpoch; everything else goes through "
-       "current()/publish()",
-       checkRoutingEpoch},
       {"header-hygiene",
        "headers carry '#pragma once' or an include guard and never "
        "'using namespace'",

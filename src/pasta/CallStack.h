@@ -44,13 +44,12 @@ struct CrossLayerStack {
 /// Python stack on every OperatorStart; capture() synthesizes the C++
 /// frames leading to a given kernel (the libbacktrace role).
 ///
-/// Thread-safe: the asynchronous dispatch unit updates the shared
-/// builder from producer threads at admission time while tools capture
-/// from dispatch lanes, so the Python context is guarded internally.
+/// Thread-safe: the processor updates the context at admission under its
+/// dispatch mutex, while a tool may capture outside it (from onFinish,
+/// say), so the Python context is guarded internally.
 ///
 /// The context is held as a shared immutable PayloadStack handle, so
-/// feeding the same interned stack to every capturing lane's builder is
-/// a reference-count bump per lane, not a frame-vector copy.
+/// updating it is a reference-count bump, not a frame-vector copy.
 class CallStackBuilder {
 public:
   void setPythonStack(PayloadStack Frames) {

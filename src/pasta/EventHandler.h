@@ -13,11 +13,6 @@
 /// deallocation deltas become positive MemoryFree sizes, microsecond
 /// ticks become nanoseconds, "dispatches" become kernel launches.
 ///
-/// With the asynchronous pipeline enabled, the threads running these
-/// callbacks are the producer side of the processor's bounded event
-/// queue: EventProcessor::process() returns after admission, and the
-/// dispatch thread pays the tool-analysis cost instead of the caller.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PASTA_PASTA_EVENTHANDLER_H

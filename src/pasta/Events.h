@@ -121,8 +121,7 @@ struct Event {
 
   /// DL framework events. The string payloads are shared immutable
   /// handles (see EventArena.h): copying an Event bumps reference counts
-  /// instead of duplicating bytes, which is what makes multi-lane
-  /// fan-out zero-copy.
+  /// instead of duplicating bytes.
   const dl::TensorInfo *Tensor = nullptr;
   std::uint64_t PoolAllocated = 0;
   std::uint64_t PoolReserved = 0;
@@ -132,7 +131,7 @@ struct Event {
   PayloadStack PythonStack;
 
   /// Pins \p K as this event's kernel descriptor: the borrowed pointer
-  /// is redirected to the shared copy. Used by EventArena::intern.
+  /// is redirected to the shared copy. Used by the trace decoders.
   void adoptKernel(std::shared_ptr<const sim::KernelDesc> K) {
     OwnedKernel = std::move(K);
     Kernel = OwnedKernel.get();
@@ -143,7 +142,7 @@ struct Event {
     Tensor = OwnedTensor.get();
   }
   /// Non-null when the kernel pointee is owned (pinned or interned);
-  /// lanes sharing one admitted event share this very handle.
+  /// copies of the event share this very handle.
   const std::shared_ptr<const sim::KernelDesc> &ownedKernel() const {
     return OwnedKernel;
   }

@@ -7,7 +7,7 @@
 /// \file
 /// The fifth registered PlatformBackend: instead of observing a live
 /// vendor runtime, "replay" re-admits a captured binary trace
-/// (TraceReader) through the normal EventQueue/EventProcessor path —
+/// (TraceReader) through the normal EventProcessor path —
 /// capture once on a GPU host, analyze anywhere. Vendor-facing duties
 /// (standing up the simulated runtime) are delegated to an inner "none"
 /// backend so a replay session still builds a complete sim::System;
@@ -80,9 +80,8 @@ public:
   const TraceInfo &traceInfo() const { return Reader.info(); }
   const std::string &tracePath() const { return TracePath; }
 
-  /// Pumps every trace event through \p Processor (on the calling
-  /// thread; the processor applies its configured sync/async admission),
-  /// honoring the configured speed. Payload tables are re-interned into
+  /// Pumps every trace event through \p Processor on the calling
+  /// thread, honoring the configured speed. Payload tables are re-interned into
   /// the processor's arena first, so per-event admission is refcount
   /// bumps. False when prepare() has not validated a trace.
   bool replayInto(EventProcessor &Processor, ReplayStats &Stats,

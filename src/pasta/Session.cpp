@@ -182,9 +182,6 @@ void Session::finish() {
     return;
   Finished = true;
   Handler.detach();
-  // Hard flush barrier: every admitted event must reach the tools before
-  // onFinish snapshots their state (async reports stay deterministic).
-  Processor.flush();
   for (const std::unique_ptr<Tool> &T : Tools)
     if (!isDetached(T.get()))
       T->onFinish();
@@ -245,7 +242,7 @@ bool Session::detachTool(const std::string &Name) {
       continue;
     if (!Processor.removeTool(T.get()))
       return false; // rejected: called from inside a dispatch context
-    // The swap's drain barrier delivered every pre-detach admission; the
+    // Every pre-detach admission was delivered before the swap; the
     // tool's report is now a frozen snapshot of its attached window.
     T->onFinish();
     Detached.push_back(T.get());
@@ -295,19 +292,6 @@ std::unique_ptr<Session> SessionBuilder::build(SessionError &Err) {
   }
   if (Opts.Iterations < 0) {
     Err.assign("iteration count must be >= 0 (0 = model default)");
-    return nullptr;
-  }
-  const ProcessorOptions &Pipeline = Opts.Pipeline;
-  if (Pipeline.QueueDepth == 0) {
-    Err.assign("event queue depth must be positive");
-    return nullptr;
-  }
-  if (Pipeline.DispatchThreads == 0 || Pipeline.DispatchThreads > 64) {
-    Err.assign("dispatch thread count must be in [1, 64]");
-    return nullptr;
-  }
-  if (Pipeline.ArenaShards > 64) {
-    Err.assign("arena shard count must be in [1, 64] (0 = auto)");
     return nullptr;
   }
   if (Opts.ReplaySpeed < 0.0) {

@@ -30,12 +30,6 @@
 /// — a tool consuming only coarse events never pays for access-record
 /// tracing (paper §III-D's selective instrumentation, as API behavior).
 ///
-/// Every user-facing pipeline knob has a builder setter. The two that
-/// exist only for measurement, ProcessorOptions::ArenaShards and
-/// ArenaMemo, have none: a session uses the hardware-derived arena
-/// shard count and the intern memo unless a caller sets them on
-/// SessionOptions::Pipeline and passes that to SessionBuilder.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PASTA_PASTA_SESSION_H
@@ -132,8 +126,8 @@ public:
   //===--------------------------------------------------------------------===
   // Annotation API (pasta.start / pasta.stop; paper Listing 1)
   //===--------------------------------------------------------------------===
-  // Routed through the processor so the async pipeline flushes first and
-  // the region boundary falls between the same events as in sync mode.
+  // Routed through the processor so the region boundary falls between
+  // two admissions.
   void start() { Processor.annotationStart(); }
   void stop() { Processor.annotationStop(); }
 
@@ -164,10 +158,10 @@ public:
   /// Same, but leaves the sink open when \p Close is false so callers
   /// can append further report sections before closing once.
   void writeReports(ReportSink &Sink, bool Close);
-  /// Emits the dispatch-unit counters (EventsDropped, MaxQueueDepth,
-  /// FlushCount, ...) as one "event_pipeline" report section. Kept out
-  /// of writeReports so tool reports stay identical across sync/async
-  /// pipelines; does not close \p Sink.
+  /// Emits the dispatch-unit counters (EventsProcessed, EventsDropped,
+  /// ...) as one "event_pipeline" report section. Kept out of
+  /// writeReports so the tool reports stand alone; does not close
+  /// \p Sink.
   void writePipelineReport(ReportSink &Sink);
 
   //===--------------------------------------------------------------------===
@@ -202,25 +196,19 @@ public:
   //===--------------------------------------------------------------------===
   // Live reconfiguration
   //===--------------------------------------------------------------------===
-  // These run only while no event admission (a process() call or record
-  // delivery) on the session's processor is in flight, and the caller
-  // ensures that. run() admits on its calling thread, so a caller on
-  // that thread reconfigures between runs; the serve daemon holds the
-  // tenant lock that also serializes the tenant's admission. With
-  // validation on (SessionBuilder::validate()), a swap that overlaps an
-  // admission is reported.
+  // Safe from any thread while the session runs: the processor swaps its
+  // routing table under the dispatch mutex, between two admissions.
 
-  /// Attaches \p T to the *running* session: the pipeline publishes a
-  /// new routing epoch behind a flush barrier and the tool sees every
-  /// event admitted afterwards. Returns the raw pointer, or null when
-  /// called from inside a dispatch context (a tool hook cannot
+  /// Attaches \p T to the *running* session: the tool sees every event
+  /// admitted after the call returns. Returns the raw pointer, or null
+  /// when called from inside a dispatch context (a tool hook cannot
   /// reconfigure the pipeline that is delivering to it).
   Tool *addTool(std::unique_ptr<Tool> T);
   /// Registry-name variant of the live addTool; null (with a logged
   /// warning) when the name is unknown.
   Tool *addToolByName(const std::string &Name);
   /// Detaches the first attached tool named \p Name from the running
-  /// session: pre-detach admissions drain into it, its onFinish runs,
+  /// session: it sees no admission after the call, its onFinish runs,
   /// and its report freezes — it still appears in writeReports(), but
   /// finish() does not run its onFinish again. Returns false when no
   /// attached tool has that name or when called from a dispatch context.
@@ -324,37 +312,30 @@ public:
     Opts.DeviceBufferRecords = Records;
     return *this;
   }
-  /// Ignored, like ProcessorOptions::AnalysisThreads: device analysis
-  /// runs on the delivering thread. Kept because pastabench still calls
-  /// it; it goes with the next change to the benchmark.
+  /// The next four setters are ignored, like the ProcessorOptions fields
+  /// they set: dispatch is synchronous, with no queue, lanes or analysis
+  /// threads. They stay because pastabench still calls them, and go with
+  /// the next change to the benchmark.
   SessionBuilder &analysisThreads(std::size_t Threads) {
     Opts.Pipeline.AnalysisThreads = Threads;
     return *this;
   }
-  /// Runs event dispatch on a dedicated thread behind a bounded queue
-  /// (paper §III-B's decoupled dispatch unit).
   SessionBuilder &asyncEvents(bool Enabled = true) {
     Opts.Pipeline.AsyncEvents = Enabled;
     return *this;
   }
-  /// Per-lane queue capacity. Admission is lossless: a producer that
-  /// finds its lane's queue full waits until the lane catches up.
   SessionBuilder &queueDepth(std::size_t Depth) {
     Opts.Pipeline.QueueDepth = Depth;
     return *this;
   }
-  /// Number of dispatch lanes for the asynchronous pipeline, fixed for
-  /// the session's lifetime. Tools with ShardByDevice/Concurrent
-  /// contracts spread across lanes; Serial tools stay pinned to one.
   SessionBuilder &dispatchThreads(std::size_t Threads) {
     Opts.Pipeline.DispatchThreads = Threads;
     return *this;
   }
   /// Turns on the runtime contract validator (docs/VALIDATION.md): the
-  /// pipeline checks Serial reentrancy/lane affinity, subscription
-  /// masks and drift, arena payload liveness, and flush barriers, and
-  /// aborts on the first violation (override with
-  /// Validator::setHandler).
+  /// pipeline checks Serial reentrancy, subscription masks and drift,
+  /// and arena payload liveness, and aborts on the first violation
+  /// (override with Validator::setHandler).
   SessionBuilder &validate(bool Enabled = true) {
     Opts.Pipeline.Validate = Enabled;
     return *this;

@@ -36,19 +36,19 @@ class EventProcessor;
 class ReportSink;
 
 /// Concurrency contract a tool declares for its coarse-event hooks. The
-/// dispatch unit uses it to decide which dispatch lane(s) may invoke the
-/// tool, turning the "is this tool thread-safe?" audit into an
-/// attach-time property instead of a code-review question.
+/// dispatch unit runs every hook under its dispatch mutex, so each model
+/// is honoured by construction; the declaration orders delivery (Serial
+/// subscribers first) and arms PASTA_VALIDATE's Serial overlap check.
+/// Kept as declared because pastabench and `--list-tools` read it; it
+/// goes with the next change to the benchmark (ROADMAP item 6).
 enum class ExecutionModel : std::uint8_t {
-  /// All hooks run on one pinned dispatch lane (today's contract; the
-  /// safe default for tools with unsynchronized state).
+  /// Hooks never overlap (the safe default for tools with
+  /// unsynchronized state).
   Serial,
-  /// Hooks for different devices may run concurrently on different
-  /// lanes; events for one device are always delivered in order on one
-  /// lane. The tool must only share state across devices under a lock.
+  /// Hooks for different devices may overlap; events for one device
+  /// arrive in order.
   ShardByDevice,
-  /// The tool is internally synchronized; any lane may invoke any hook
-  /// at any time.
+  /// The tool is internally synchronized; any hook may run at any time.
   Concurrent,
 };
 
@@ -121,13 +121,6 @@ struct Subscription {
   bool KernelTrace = false;
   /// Unified-memory counters.
   bool UvmCounters = false;
-  /// The tool captures cross-layer call stacks — it calls
-  /// EventProcessor::callStacks() from a hook (or from onFinish). The
-  /// dispatch unit routes Python-stack context updates only to the lanes
-  /// hosting declaring tools, so lanes full of stack-indifferent tools
-  /// never see context-only fan-out. A tool that captures without
-  /// declaring this observes a stale (empty) context on its lane.
-  bool CapturesStacks = false;
   /// Concurrency contract for the coarse-event hooks above.
   ExecutionModel Model = ExecutionModel::Serial;
 
@@ -160,8 +153,7 @@ public:
 
   /// Declares what this tool consumes and under which concurrency
   /// contract. The dispatch unit routes only the declared event kinds to
-  /// the tool (kind hook and generic onEvent hook alike) and uses the
-  /// ExecutionModel to place the tool on its dispatch lanes. Every tool
+  /// the tool (kind hook and generic onEvent hook alike). Every tool
   /// declares one: event hooks the subscription does not name are never
   /// called.
   virtual Subscription subscription() = 0;

@@ -81,7 +81,7 @@ struct TraceWriterStats {
 
 /// Streams Events into a binary trace file.
 ///
-/// Not thread-safe: the intended producer is a Serial-lane tool
+/// Not thread-safe: the intended producer is a Serial tool
 /// (trace_capture), which the dispatcher already serializes.
 class TraceWriter {
 public:

@@ -6,7 +6,6 @@
 
 #include "pasta/Validate.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -31,8 +30,6 @@ const char *validationViolationName(ValidationViolation::Kind K) {
   switch (K) {
   case ValidationViolation::Kind::SerialOverlap:
     return "serial-overlap";
-  case ValidationViolation::Kind::SerialLaneMigration:
-    return "serial-lane-migration";
   case ValidationViolation::Kind::SubscriptionMask:
     return "subscription-mask";
   case ValidationViolation::Kind::SubscriptionDrift:
@@ -47,12 +44,6 @@ const char *validationViolationName(ValidationViolation::Kind K) {
     return "payload-use-after-release";
   case ValidationViolation::Kind::PayloadCanaryStomp:
     return "payload-canary-stomp";
-  case ValidationViolation::Kind::FlushFromLane:
-    return "flush-from-lane";
-  case ValidationViolation::Kind::FlushNotDrained:
-    return "flush-not-drained";
-  case ValidationViolation::Kind::ReconfigureDuringAdmission:
-    return "reconfigure-during-admission";
   }
   return "unknown";
 }
@@ -91,33 +82,23 @@ void Validator::report(ValidationViolation::Kind What, std::string Message) {
 // Tool contracts
 //===----------------------------------------------------------------------===//
 
-void Validator::registerTool(Tool &T, const Subscription &Compiled,
-                             std::size_t PinnedLane) {
+void Validator::registerTool(Tool &T, const Subscription &Compiled) {
   {
     std::lock_guard<std::mutex> Lock(StateMutex);
     std::unique_ptr<ToolState> &Slot = Tools[&T];
     if (!Slot)
       Slot = std::make_unique<ToolState>();
-    else if (Reconfiguring && Slot->Stale &&
-             Compiled.Model == ExecutionModel::Serial &&
-             Slot->Model == ExecutionModel::Serial &&
-             Slot->PinnedLane != PinnedLane)
-      // Epoch boundary: the swap drained the old epoch before this
-      // re-registration, so moving the pin is the sanctioned migration
-      // path, not a lane-affinity break.
-      SanctionedMigrations.fetch_add(1, std::memory_order_relaxed);
     Slot->T = &T;
     Slot->Name = T.name();
     Slot->Kinds = Compiled.Kinds;
     Slot->Model = Compiled.Model;
-    Slot->PinnedLane = PinnedLane;
     Slot->Stale = false;
   }
 
-  // Drift watchdog: the routing tables were compiled from one answer;
-  // if subscription() gives a different one now, deliveries will follow
-  // a contract the tool no longer declares. Caller holds the attach
-  // lock, so re-querying user code here is as safe as the compile was.
+  // Drift watchdog: the routing table was compiled from one answer; if
+  // subscription() gives a different one now, deliveries will follow a
+  // contract the tool no longer declares. Caller holds the dispatch
+  // mutex, so re-querying user code here is as safe as the compile was.
   Subscription Now = T.subscription();
   if (Now.Kinds != Compiled.Kinds)
     report(ValidationViolation::Kind::SubscriptionDrift,
@@ -131,47 +112,20 @@ void Validator::registerTool(Tool &T, const Subscription &Compiled,
                ", now reports " + executionModelName(Now.Model));
 }
 
-void Validator::unregisterTools() {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  Tools.clear();
-}
-
 void Validator::beginReconfiguration() {
   std::lock_guard<std::mutex> Lock(StateMutex);
-  Reconfiguring = true;
-  OverlappedAdmissions = InFlightAdmissions.load(std::memory_order_seq_cst);
   for (auto &Entry : Tools)
     Entry.second->Stale = true;
 }
 
 void Validator::endReconfiguration() {
-  std::uint64_t Overlapped = 0;
-  {
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    Reconfiguring = false;
-    Overlapped = std::max(OverlappedAdmissions,
-                          InFlightAdmissions.load(std::memory_order_seq_cst));
-    for (auto It = Tools.begin(); It != Tools.end();) {
-      if (It->second->Stale)
-        It = Tools.erase(It);
-      else
-        ++It;
-    }
+  std::lock_guard<std::mutex> Lock(StateMutex);
+  for (auto It = Tools.begin(); It != Tools.end();) {
+    if (It->second->Stale)
+      It = Tools.erase(It);
+    else
+      ++It;
   }
-  // One report per swap, from either end of the bracket.
-  if (Overlapped != 0)
-    report(ValidationViolation::Kind::ReconfigureDuringAdmission,
-           "routing-table swap while " + std::to_string(Overlapped) +
-               " process() call(s) or record deliveries were in flight: "
-               "serialize addTool/removeTool/clearTools with admission");
-}
-
-void Validator::beginAdmission() {
-  InFlightAdmissions.fetch_add(1, std::memory_order_seq_cst);
-}
-
-void Validator::endAdmission() {
-  InFlightAdmissions.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 Validator::ToolState *Validator::stateOf(Tool &T) {
@@ -180,7 +134,7 @@ Validator::ToolState *Validator::stateOf(Tool &T) {
   return It == Tools.end() ? nullptr : It->second.get();
 }
 
-void Validator::beforeDelivery(Tool &T, const Event &E, std::size_t Lane) {
+void Validator::beforeDelivery(Tool &T, const Event &E) {
   DeliveriesChecked.fetch_add(1, std::memory_order_relaxed);
 
   ToolState *State = stateOf(T);
@@ -201,15 +155,6 @@ void Validator::beforeDelivery(Tool &T, const Event &E, std::size_t Lane) {
                State->Kinds.str());
 
   if (State->Model == ExecutionModel::Serial) {
-    // Lane affinity: a Serial tool is pinned to one dispatch lane; any
-    // other lane delivering to it is a routing bug. Inline (sync-mode)
-    // deliveries have no lane and are exempt.
-    if (Lane != InlineDelivery && Lane != State->PinnedLane)
-      report(ValidationViolation::Kind::SerialLaneMigration,
-             "Serial tool '" + State->Name + "' pinned to lane " +
-                 std::to_string(State->PinnedLane) +
-                 " was delivered an event on lane " + std::to_string(Lane));
-
     // Overlap: hook invocations of a Serial tool must never be
     // concurrent. fetch_add makes the check itself race-free.
     int Prev = State->Active.fetch_add(1, std::memory_order_acq_rel);
@@ -328,36 +273,11 @@ void Validator::checkEventPayloads(const Event &E, const ToolState &State) {
   checkPayloadHandle(E.ownedKernel().get(), "kernel", State);
 }
 
-//===----------------------------------------------------------------------===//
-// Flush barriers
-//===----------------------------------------------------------------------===//
-
-void Validator::onFlushFromLane() {
-  report(ValidationViolation::Kind::FlushFromLane,
-         "flush() entered from a dispatch-lane thread: a lane cannot "
-         "wait for its own queue to drain (the wait was skipped to "
-         "avoid deadlock)");
-}
-
-void Validator::onFlushBarrier(std::size_t Lane,
-                               std::uint64_t AdmittedTickets,
-                               std::uint64_t ConsumedTickets) {
-  if (ConsumedTickets >= AdmittedTickets)
-    return;
-  report(ValidationViolation::Kind::FlushNotDrained,
-         "flush barrier on lane " + std::to_string(Lane) +
-             " returned with " + std::to_string(ConsumedTickets) +
-             " tickets consumed of " + std::to_string(AdmittedTickets) +
-             " admitted before the barrier");
-}
-
 ValidatorStats Validator::stats() const {
   ValidatorStats S;
   S.DeliveriesChecked = DeliveriesChecked.load(std::memory_order_relaxed);
   S.PayloadsTracked = PayloadsTracked.load(std::memory_order_relaxed);
   S.Violations = Violations.load(std::memory_order_relaxed);
-  S.SanctionedMigrations =
-      SanctionedMigrations.load(std::memory_order_relaxed);
   return S;
 }
 

@@ -8,13 +8,13 @@
 /// PASTA_VALIDATE — the runtime half of the contract-enforcement layer
 /// (pasta-lint is the static half; docs/VALIDATION.md is the narrative
 /// spec). The dispatch pipeline declares contracts the type system
-/// cannot enforce: a Serial tool's hooks never overlap and stay on
-/// their pinned lane, events reach a tool only inside its declared
-/// EventKindMask, arena payload handles are never used after release,
-/// flush barriers actually drain. TSan cannot see most of these — a
-/// Serial tool migrated between threads *with* happens-before is not a
-/// data race, but it is a broken contract — so a Validator checks them
-/// dynamically.
+/// cannot enforce: a Serial tool's hooks never overlap, events reach a
+/// tool only inside its declared EventKindMask, a tool's subscription
+/// does not drift after attach, arena payload handles are never used
+/// after release. TSan cannot see most of these — two processors
+/// delivering to one shared tool under their own locks is not a data
+/// race inside either processor, but it is a broken contract — so a
+/// Validator checks them dynamically.
 ///
 /// Cost model: validation is a per-processor opt-in (ProcessorOptions::
 /// Validate / SessionBuilder::validate() / accelprof --validate /
@@ -50,11 +50,8 @@ namespace pasta {
 struct ValidationViolation {
   enum class Kind : std::uint8_t {
     /// Two hook invocations of a Serial tool overlapped in time
-    /// (reentrancy or unserialized concurrent producers).
+    /// (reentrancy, or unserialized concurrent deliveries).
     SerialOverlap,
-    /// A Serial tool was delivered an event on a lane other than the
-    /// one it was pinned to at attach — a routing-table bug.
-    SerialLaneMigration,
     /// An event outside the tool's declared EventKindMask reached it —
     /// a routing-table compilation bug.
     SubscriptionMask,
@@ -76,17 +73,6 @@ struct ValidationViolation {
     /// A ledger entry's canary word was overwritten — memory corruption
     /// in or around the payload bookkeeping.
     PayloadCanaryStomp,
-    /// flush() entered from a dispatch-lane thread: a lane cannot wait
-    /// for itself to drain (deadlock; validation skips the wait).
-    FlushFromLane,
-    /// After a flush barrier, a lane had consumed fewer tickets than
-    /// were admitted when the barrier began — waitDrained() returned
-    /// without the drain it promises.
-    FlushNotDrained,
-    /// A routing-table swap (addTool/removeTool/clearTools) ran while a
-    /// process() call or record delivery was in flight on the same
-    /// processor: the caller broke the reconfiguration contract.
-    ReconfigureDuringAdmission,
   };
 
   Kind What = Kind::SerialOverlap;
@@ -101,18 +87,14 @@ struct ValidatorStats {
   std::uint64_t DeliveriesChecked = 0;
   std::uint64_t PayloadsTracked = 0;
   std::uint64_t Violations = 0;
-  /// Serial tools whose pinned lane legitimately changed across an
-  /// epoch swap (beginReconfiguration/endReconfiguration bracket). Not
-  /// violations: a detach re-pins the remaining Serial tools round-robin
-  /// at the epoch boundary, which is the sanctioned way one moves.
-  std::uint64_t SanctionedMigrations = 0;
 };
 
 /// The runtime contract checker. One Validator per EventProcessor,
 /// created only when validation is enabled; every hook below is invoked
 /// behind a null check, so a validation-off pipeline never pays more
-/// than that test. All methods are thread-safe (deliveries arrive from
-/// any lane, payload registration from any producer).
+/// than that test. All methods are thread-safe (a tool shared by two
+/// processors is delivered from both, the decoders register payloads
+/// from any thread).
 class Validator {
 public:
   using Handler = std::function<void(const ValidationViolation &)>;
@@ -127,53 +109,27 @@ public:
   /// Emits one violation through the handler.
   void report(ValidationViolation::Kind What, std::string Message);
 
-  /// The lane value for deliveries outside any dispatch lane
-  /// (synchronous inline dispatch); lane-affinity checks don't apply.
-  static constexpr std::size_t InlineDelivery = ~std::size_t(0);
-
   //===--------------------------------------------------------------------===
   // Tool contracts
   //===--------------------------------------------------------------------===
 
-  /// (Re)registers \p T with the subscription the routing tables were
-  /// compiled from and its pinned lane. Also re-queries
-  /// T.subscription() and reports SubscriptionDrift when the answer no
-  /// longer matches \p Compiled — the caller must hold its attach lock
-  /// (single-threaded, like the compile itself). Inside a
-  /// beginReconfiguration/endReconfiguration bracket, re-registering a
-  /// known Serial tool with a different pinned lane counts a sanctioned
-  /// migration instead of arming the lane-affinity check against the
-  /// stale lane.
-  void registerTool(Tool &T, const Subscription &Compiled,
-                    std::size_t PinnedLane);
-  /// Forgets every registered tool (clearTools on the processor).
-  void unregisterTools();
+  /// (Re)registers \p T with the subscription the routing table was
+  /// compiled from. Also re-queries T.subscription() and reports
+  /// SubscriptionDrift when the answer no longer matches \p Compiled —
+  /// the caller holds its dispatch mutex, like the compile itself.
+  void registerTool(Tool &T, const Subscription &Compiled);
 
-  /// Brackets an epoch swap, drain included. The caller must keep the
-  /// swap out of every process() call and record delivery; nothing
-  /// waits for them, but when an admission is in flight at either end
-  /// of the bracket, endReconfiguration() reports one
-  /// ReconfigureDuringAdmission. beginReconfiguration() marks every
-  /// registered tool stale; the registerTool() calls that follow
-  /// re-adopt survivors in place (their in-flight Active counters are
-  /// preserved — a collecting-handler test may hold state across the
-  /// swap); endReconfiguration() retires tools the new table no longer
-  /// routes to. The caller holds the processor's attach lock for the
-  /// whole bracket.
+  /// Brackets a routing-table rebuild. beginReconfiguration() marks
+  /// every registered tool stale; the registerTool() calls that follow
+  /// re-adopt survivors in place; endReconfiguration() retires tools the
+  /// new table no longer routes to.
   void beginReconfiguration();
   void endReconfiguration();
 
-  /// Bracket one process() call or record delivery. They only count
-  /// (seq_cst, like the reads at both ends of the reconfiguration
-  /// bracket); nothing waits on the count.
-  void beginAdmission();
-  void endAdmission();
-
   /// Delivery-time checks, wrapped around the hook invocation:
-  /// subscription-mask watchdog, Serial overlap/lane-affinity, payload
-  /// liveness of the event's arena handles. \p Lane is the dispatching
-  /// lane index or InlineDelivery.
-  void beforeDelivery(Tool &T, const Event &E, std::size_t Lane);
+  /// subscription-mask watchdog, Serial overlap, payload liveness of the
+  /// event's arena handles.
+  void beforeDelivery(Tool &T, const Event &E);
   void afterDelivery(Tool &T);
 
   //===--------------------------------------------------------------------===
@@ -197,20 +153,6 @@ public:
   /// True when \p Payload is tracked and not released (test helper).
   bool payloadLive(const void *Payload);
 
-  //===--------------------------------------------------------------------===
-  // Flush barriers
-  //===--------------------------------------------------------------------===
-
-  /// flush() was entered from a dispatch-lane thread (the processor
-  /// skips the wait after reporting — waiting would deadlock).
-  void onFlushFromLane();
-  /// After waitDrained on lane \p Lane: \p ConsumedTickets must have
-  /// reached \p AdmittedTickets (the lane's tail when the barrier
-  /// began). The dispatched watermark only rises, which makes this
-  /// check race-free under concurrent producers.
-  void onFlushBarrier(std::size_t Lane, std::uint64_t AdmittedTickets,
-                      std::uint64_t ConsumedTickets);
-
   ValidatorStats stats() const;
 
 private:
@@ -221,7 +163,6 @@ private:
     std::string Name;
     EventKindMask Kinds;
     ExecutionModel Model = ExecutionModel::Serial;
-    std::size_t PinnedLane = 0;
     /// Hook invocations currently in flight (Serial contract: must
     /// never exceed 1).
     std::atomic<int> Active{0};
@@ -266,15 +207,6 @@ private:
   std::atomic<std::uint64_t> DeliveriesChecked{0};
   std::atomic<std::uint64_t> PayloadsTracked{0};
   std::atomic<std::uint64_t> Violations{0};
-  std::atomic<std::uint64_t> SanctionedMigrations{0};
-  /// process() calls and record deliveries in flight.
-  std::atomic<std::uint64_t> InFlightAdmissions{0};
-
-  /// True between beginReconfiguration() and endReconfiguration()
-  /// (guarded by StateMutex alongside the Stale flags it governs).
-  bool Reconfiguring = false;
-  /// Admissions in flight when the current swap began (StateMutex).
-  std::uint64_t OverlappedAdmissions = 0;
 };
 
 } // namespace pasta

@@ -65,8 +65,6 @@ bool Aggregator::start(SessionError &Err) {
   {
     SessionBuilder Probe;
     Probe.backend("none").gpu(Opts.Gpu);
-    if (Opts.Lanes > 0)
-      Probe.asyncEvents(true).dispatchThreads(Opts.Lanes);
     for (const std::string &ToolName : Opts.ToolNames)
       Probe.tool(ToolName);
     if (!Probe.build(Err))

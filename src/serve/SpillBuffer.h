@@ -16,7 +16,7 @@
 /// (the current connection is unaffected — the frame was already sent).
 ///
 /// Single-threaded by design: the only caller is the forwarding tool's
-/// Serial lane.
+/// Serial hooks.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -21,13 +21,10 @@ Tenant *TenantRegistry::getOrCreate(const std::string &Name,
   // A tenant session is a normal Session minus the workload: backend
   // "none" (no instrumentation of its own — every event arrives through
   // the decoder), synchronous pipeline (admission is serialized by the
-  // tenant mutex; byte-identity with single-process sync reports is the
-  // acceptance gate), the daemon's tool set. --lanes opts into the
-  // async pipeline on a fixed number of lanes.
+  // tenant mutex; byte-identity with single-process reports is the
+  // acceptance gate), the daemon's tool set.
   SessionBuilder Builder;
   Builder.backend("none").gpu(Opts.Gpu).validate(Opts.Validate);
-  if (Opts.Lanes > 0)
-    Builder.asyncEvents(true).dispatchThreads(Opts.Lanes);
   for (const std::string &ToolName : Opts.ToolNames)
     Builder.tool(ToolName);
   std::unique_ptr<Session> S = Builder.build(Err);

@@ -423,10 +423,9 @@ bool TraceStreamSink::sendAll(const char *Data, std::size_t Size) {
       continue;
     }
     if (Sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Backpressure: wait for the daemon to drain. In an async session
-      // this blocks the forwarder's lane, fills its event queue, and
-      // stalls the producer until the daemon catches up — the
-      // documented degradation path. Acks are drained opportunistically
+      // Backpressure: wait for the daemon to drain. This blocks the
+      // forwarder's hook, and with it the producer, until the daemon
+      // catches up — the documented degradation path. Acks are drained opportunistically
       // so the receive buffer never wedges a throttled connection.
       ++Stats.SendBlocked;
       pollfd Pfd;

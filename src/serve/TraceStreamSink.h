@@ -15,11 +15,10 @@
 /// the flush threshold (and at finish()), so a forwarding producer pays
 /// one sendmsg per ~32 KiB of trace, not one per record. The socket is
 /// non-blocking: when the daemon falls behind and the socket buffer
-/// fills, the sink *blocks the forwarding tool's lane* in poll() —
-/// which in an async session backs pressure up into the bounded
-/// EventQueue, whose full ring stalls the producer in turn. A slow
-/// aggregator therefore stalls the profiled run exactly like any other
-/// slow tool; nothing is dropped and admission never deadlocks. Blocked
+/// fills, the sink *blocks the forwarding tool's hook* in poll(), and
+/// with it the admission that dispatched to it. A slow aggregator
+/// therefore stalls the profiled run exactly like any other slow tool;
+/// nothing is dropped and admission never deadlocks. Blocked
 /// waits are counted (SendBlocked).
 ///
 /// Fault tolerance is opt-in via StreamClientOptions::Reconnect: sent
@@ -95,7 +94,7 @@ struct TraceStreamSinkStats {
 };
 
 /// One client connection to an aggregator socket. Not thread-safe: the
-/// intended writer is the stream_forward tool's Serial lane.
+/// intended writer is the stream_forward tool's Serial hooks.
 class TraceStreamSink : public TraceOutput {
 public:
   TraceStreamSink() = default;

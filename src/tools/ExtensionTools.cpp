@@ -141,6 +141,10 @@ void RedundantLoadTool::InSitu::processRecords(
     Local[Records[I].Address] += Records[I].Multiplicity;
 
   for (const auto &[Addr, Hits] : Local) {
+    // Multiplicity-0 records carry no access: they must neither count
+    // nor make the address "seen".
+    if (Hits == 0)
+      continue;
     std::uint64_t &Seen = Parent.SeenAddresses[Addr];
     // First access to an address is useful; repeats are redundancy
     // candidates (same value re-loaded).

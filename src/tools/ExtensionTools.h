@@ -38,7 +38,8 @@ public:
   std::string name() const override { return "instruction_mix"; }
 
   /// No discrete events at all — instruction mixes arrive on the
-  /// record-delivery path, so any lane placement is fine (Concurrent).
+  /// record-delivery path, so the contract does not matter
+  /// (Concurrent).
   Subscription subscription() override;
 
   struct KernelMix {

@@ -39,9 +39,9 @@ public:
 
   std::string name() const override { return "hotness"; }
 
-  /// Kernel launches (window bookkeeping) + access records, on one
-  /// serial lane; the in-situ reducer runs after a flush of that lane,
-  /// so it reads the current window without a lock.
+  /// Kernel launches (window bookkeeping) + access records, Serial; the
+  /// in-situ reducer runs after every earlier launch was dispatched, so
+  /// it reads the current window without a lock.
   Subscription subscription() override;
 
   void onKernelLaunch(const Event &E) override;

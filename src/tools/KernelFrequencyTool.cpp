@@ -19,9 +19,6 @@ using namespace pasta::tools;
 Subscription KernelFrequencyTool::subscription() {
   Subscription Sub;
   Sub.Kinds = {EventKind::KernelLaunch};
-  // Stack context is only consumed under the MAX_CALLED_KERNEL knob;
-  // declare it exactly then so context updates reach this tool's lane.
-  Sub.CapturesStacks = Knobs::fromEnv().MaxCalledKernel;
   Sub.Model = ExecutionModel::Serial;
   return Sub;
 }

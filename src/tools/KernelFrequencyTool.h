@@ -33,7 +33,7 @@ class KernelFrequencyTool : public Tool {
 public:
   std::string name() const override { return "kernel_frequency"; }
 
-  /// Kernel launches only, on one serial lane (the frequency map and
+  /// Kernel launches only, Serial (the frequency map and
   /// hottest-stack capture are unsynchronized).
   Subscription subscription() override;
 

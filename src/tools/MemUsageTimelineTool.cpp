@@ -25,11 +25,12 @@ Subscription MemUsageTimelineTool::subscription() {
 void MemUsageTimelineTool::record(const Event &E) {
   std::vector<std::uint64_t> *DeviceSeries;
   {
-    // Map nodes are stable; only the find-or-create races across lanes.
+    // Map nodes are stable; only the find-or-create races across devices.
     std::lock_guard<std::mutex> Lock(SeriesMutex);
     DeviceSeries = &Series[E.DeviceIndex];
   }
-  // Same device => same lane => appends are ordered and unshared.
+  // One device's events arrive in order, one at a time: appends to its
+  // series are unshared.
   DeviceSeries->push_back(E.PoolAllocated);
 }
 

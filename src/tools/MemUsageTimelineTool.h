@@ -33,7 +33,7 @@ namespace tools {
 /// so events for different devices may be dispatched concurrently — only
 /// the container itself (creating a device's series on first use) is
 /// guarded; appends to one device's series are serialized by the
-/// per-device lane ordering the contract guarantees.
+/// per-device ordering the contract guarantees.
 class MemUsageTimelineTool : public Tool {
 public:
   std::string name() const override { return "mem_usage_timeline"; }

@@ -33,7 +33,7 @@ class OpKernelMapTool : public Tool {
 public:
   std::string name() const override { return "op_kernel_map"; }
 
-  /// Operator + kernel lifecycle events, on one serial lane (the
+  /// Operator + kernel lifecycle events, Serial (the
   /// operator nesting stack is inherently order-sensitive).
   Subscription subscription() override;
 

@@ -11,7 +11,7 @@
 /// connection, events referencing them by u32 id — but ships the bytes
 /// incrementally over a TraceStreamSink socket connection to an
 /// `accelprof --serve` aggregator instead of a file. Subscribes to
-/// every kind on one Serial lane, so the wire stream is the admission
+/// every kind as a Serial tool, so the wire stream is the admission
 /// order and a single-client tenant's merged report is byte-identical
 /// to running the same tools in-process.
 ///

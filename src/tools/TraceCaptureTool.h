@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The capture half of PASTA's capture-once, analyze-anywhere story: a
-/// tool subscribing to *every* event kind on one Serial lane, writing
+/// Serial tool subscribing to *every* event kind, writing
 /// each admitted event into a binary trace file (pasta/TraceWriter.h).
 /// Because the Serial contract delivers events in admission order, the
 /// captured file is deterministic for a deterministic workload — replay

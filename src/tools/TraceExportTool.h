@@ -31,7 +31,7 @@ class TraceExportTool : public Tool {
 public:
   std::string name() const override { return "chrome_trace"; }
 
-  /// Timeline-relevant events on one serial lane (a single ordered
+  /// Timeline-relevant events, Serial (a single ordered
   /// entries vector is the whole data structure).
   Subscription subscription() override;
 

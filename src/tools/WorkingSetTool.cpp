@@ -30,11 +30,6 @@ Subscription WorkingSetTool::subscription() {
                EventKind::KernelLaunch};
   Sub.AccessRecords = true;
   Sub.KernelTrace = true;
-  // Deliberately no CapturesStacks: the MAX_MEM_REFERENCED_KERNEL
-  // capture happens in onKernelTraceEnd, which record delivery runs on
-  // the producing thread — callStacks() resolves to the shared builder
-  // (updated at admission) there, never a lane-local one. Declaring the
-  // bit would only re-add context-only fan-out to this tool's lane.
   Sub.Model = ExecutionModel::Serial;
   return Sub;
 }

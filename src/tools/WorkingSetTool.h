@@ -60,9 +60,9 @@ public:
   std::string name() const override { return "working_set"; }
 
   /// Resource + kernel-launch events, access records and per-launch
-  /// breakdowns, on one serial lane (the interval maps and the current-
-  /// kernel accumulator are unguarded; record deliveries follow a flush
-  /// of the coarse hooks).
+  /// breakdowns, Serial (the interval maps and the current-kernel
+  /// accumulator are unguarded; record deliveries and coarse hooks are
+  /// serialized by the dispatch mutex).
   Subscription subscription() override;
 
   /// Per-kernel result.

@@ -98,7 +98,6 @@ public:
     Subscription Sub;
     Sub.Kinds = EventKindMask::all();
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onStart() override { ++Starts; }

@@ -28,7 +28,6 @@ public:
     Sub.Kinds = EventKindMask::all();
     Sub.AccessRecords = true;
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onEvent(const Event &E) override { AllEvents.push_back(E.Kind); }
@@ -56,7 +55,6 @@ public:
     Sub.Kinds = EventKindMask::all();
     Sub.AccessRecords = true;
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   DeviceAnalysis *deviceAnalysis() override { return &Reducer; }

@@ -30,7 +30,6 @@ public:
     Subscription Sub;
     Sub.Kinds = EventKindMask::all();
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onEvent(const Event &E) override { Events.push_back(E); }

@@ -168,7 +168,6 @@ public:
     Subscription Sub;
     Sub.Kinds = EventKindMask::all();
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void writeReport(std::FILE *Out) override {

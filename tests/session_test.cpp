@@ -29,7 +29,6 @@ public:
     Subscription Sub;
     Sub.Kinds = EventKindMask::all();
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onKernelLaunch(const Event &) override { ++KernelLaunches; }
@@ -46,7 +45,6 @@ public:
     Sub.Kinds = EventKindMask::all();
     Sub.AccessRecords = true;
     Sub.KernelTrace = true;
-    Sub.CapturesStacks = true;
     return Sub;
   }
   void onAccessBatch(const sim::LaunchInfo &, const sim::MemAccessRecord *,
@@ -388,31 +386,6 @@ TEST(Profiler, FinishThenWriteReportsIsSafe) {
   JsonReportSink Sink;
   S->writeReports(Sink);
   EXPECT_NE(Sink.str().find("kernel_frequency"), std::string::npos);
-}
-
-TEST(Session, LaneCountIsFixedAcrossLiveReconfiguration) {
-  // The async lane count is a construction-time constant: live attach
-  // and detach swap routing tables, never the lane set.
-  SessionError Err;
-  auto S = SessionBuilder()
-               .tool("kernel_frequency")
-               .model("alexnet")
-               .iterations(1)
-               .asyncEvents()
-               .dispatchThreads(3)
-               .build(Err);
-  ASSERT_NE(S, nullptr) << Err.message();
-  auto ExpectThreeLanes = [&S](const char *When) {
-    EXPECT_EQ(S->processor().laneCount(), 3u) << When;
-    EXPECT_EQ(S->processor().stats().DispatchLanes, 3u) << When;
-  };
-  ExpectThreeLanes("after build");
-  ASSERT_NE(S->addToolByName("working_set"), nullptr);
-  ExpectThreeLanes("after attach");
-  ASSERT_TRUE(S->detachTool("working_set"));
-  ExpectThreeLanes("after detach");
-  S->run();
-  ExpectThreeLanes("after run");
 }
 
 TEST(Session, MultiDeviceRunProgram) {

@@ -20,6 +20,7 @@
 
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 using namespace pasta;
@@ -252,6 +253,8 @@ public:
       break;
     case EventKind::KernelLaunch:
       Counts.clear();
+      SeenAddresses.clear();
+      Current = {};
       Window = Launches++ / WindowKernels;
       break;
     default:
@@ -264,10 +267,23 @@ public:
       Heatmap[{R.Address / HotBlock * HotBlock, Window}] += R.Multiplicity;
       if (sim::DeviceAddr Base = resolve(R.Address))
         Counts[Base] += R.Multiplicity;
+      // redundant_load: the first access to an address in a launch is
+      // useful, every later one redundant; a multiplicity-0 record is no
+      // access at all.
+      Current.Accesses += R.Multiplicity;
+      if (R.Multiplicity != 0)
+        Current.Redundant += SeenAddresses.insert(R.Address).second
+                                 ? R.Multiplicity - 1
+                                 : R.Multiplicity;
     }
   }
 
-  void kernelEnd() {
+  void kernelEnd(std::uint64_t GridId) {
+    Current.GridId = GridId;
+    Redundancy.push_back(Current);
+    Current = {};
+    SeenAddresses.clear();
+
     WorkingSetTool::KernelRecord K;
     for (const auto &[Base, Count] : Counts) {
       auto It = Sizes.find(Base);
@@ -282,6 +298,7 @@ public:
 
   std::vector<WorkingSetTool::KernelRecord> Kernels;
   std::map<std::pair<sim::DeviceAddr, std::uint32_t>, std::uint64_t> Heatmap;
+  std::vector<RedundantLoadTool::KernelRedundancy> Redundancy;
 
 private:
   sim::DeviceAddr resolve(sim::DeviceAddr Addr) const {
@@ -300,6 +317,8 @@ private:
   std::map<sim::DeviceAddr, sim::DeviceAddr> AllocEnds;
   std::map<sim::DeviceAddr, std::uint64_t> Sizes;
   std::map<sim::DeviceAddr, std::uint64_t> Counts;
+  std::set<sim::DeviceAddr> SeenAddresses;
+  RedundantLoadTool::KernelRedundancy Current;
 };
 
 Event objectEvent(EventKind Kind, sim::DeviceAddr Address,
@@ -420,8 +439,9 @@ void expectSameKernels(const std::vector<WorkingSetTool::KernelRecord> &Got,
 } // namespace
 
 TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
-  // Both working_set modes and hotness count each run of records once;
-  // their results must equal a reference that resolves every record.
+  // Both working_set modes and hotness count each run of records once,
+  // and redundant_load folds each batch per address; their results must
+  // equal a reference that resolves every record.
   for (std::uint64_t Seed : {1u, 2u, 3u}) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     EventProcessor Processor;
@@ -429,9 +449,11 @@ TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
     WorkingSetTool Host(WsAnalysisMode::HostSide);
     HotnessTool Hot;
     Hot.setWindowKernels(2);
+    RedundantLoadTool Redundant;
     Processor.addTool(&Device);
     Processor.addTool(&Host);
     Processor.addTool(&Hot);
+    Processor.addTool(&Redundant);
     PerRecordReference Reference(2);
     auto Send = [&](const Event &E) {
       Processor.process(E);
@@ -475,7 +497,7 @@ TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
         Reallocate(); // between two batches of one kernel
       }
       Processor.onKernelEnd(Info, sim::TraceTimeBreakdown{});
-      Reference.kernelEnd();
+      Reference.kernelEnd(Grid);
     }
 
     ASSERT_GT(Reference.Heatmap.count({0, 0}), 0u) << "block 0 unused";
@@ -488,6 +510,14 @@ TEST_F(ToolsTest, RecordReducersMatchPerRecordReference) {
       expectSameKernels(Host.kernels(), Reference.Kernels);
     }
     EXPECT_EQ(Hot.heatmap(), Reference.Heatmap);
+    const auto &Got = Redundant.kernels();
+    ASSERT_EQ(Got.size(), Reference.Redundancy.size());
+    for (std::size_t I = 0; I < Got.size(); ++I) {
+      SCOPED_TRACE("redundant_load kernel " + std::to_string(I));
+      EXPECT_EQ(Got[I].GridId, Reference.Redundancy[I].GridId);
+      EXPECT_EQ(Got[I].Accesses, Reference.Redundancy[I].Accesses);
+      EXPECT_EQ(Got[I].Redundant, Reference.Redundancy[I].Redundant);
+    }
   }
 }
 

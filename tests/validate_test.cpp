@@ -6,35 +6,34 @@
 //
 // Seeded-violation tests for the runtime contract validator: each
 // pipeline contract is deliberately broken (drifting subscription,
-// Serial overlap/migration, released payload handles, flush from a
-// dispatch lane, reconfiguration during an admission) and the
-// collecting handler must see exactly the expected violation. Plus the
-// other direction: validation off is the default and a validating
-// pipeline produces byte-identical reports.
+// Serial overlap, released payload handles) and the collecting handler
+// must see exactly the expected violation. Plus the other direction:
+// validation off is the default and a validating pipeline produces
+// byte-identical reports.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pasta/EventProcessor.h"
 #include "pasta/Session.h"
+#include "pasta/TraceReader.h"
+#include "pasta/TraceWriter.h"
 #include "pasta/Validate.h"
 #include "support/ReportSink.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <future>
+#include <cstdio>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace pasta;
 
 namespace {
 
-/// Collects violations instead of aborting; thread-safe (lane threads
-/// report concurrently with the main thread).
+/// Collects violations instead of aborting; thread-safe (concurrent
+/// deliveries report from their own threads).
 class Collector {
 public:
   void install(Validator &V) {
@@ -99,38 +98,6 @@ public:
   int Calls = 0;
 };
 
-/// Calls flush() from inside a hook — on a dispatch lane, the deadlock
-/// contract break the validator must catch.
-class FlushFromHookTool : public Tool {
-public:
-  std::string name() const override { return "flush_from_hook"; }
-  Subscription subscription() override {
-    return serialOn({EventKind::OperatorStart});
-  }
-  void onAttach(EventProcessor &P) override { Proc = &P; }
-  void onOperatorStart(const Event &) override {
-    if (Proc)
-      Proc->flush();
-  }
-  EventProcessor *Proc = nullptr;
-};
-
-/// Parks inside its hook until released, so a test can hold one
-/// synchronous process() call in flight on another thread.
-class ParkedHookTool : public Tool {
-public:
-  std::string name() const override { return "parked_hook"; }
-  Subscription subscription() override {
-    return serialOn({EventKind::OperatorStart});
-  }
-  void onOperatorStart(const Event &) override {
-    Entered.set_value();
-    Released.wait();
-  }
-  std::promise<void> Entered;
-  std::future<void> Released;
-};
-
 Event operatorStart(const char *Op) {
   Event E;
   E.Kind = EventKind::OperatorStart;
@@ -138,10 +105,8 @@ Event operatorStart(const char *Op) {
   return E;
 }
 
-ProcessorOptions validatingAsync() {
+ProcessorOptions validating() {
   ProcessorOptions Opts;
-  Opts.AsyncEvents = true;
-  Opts.DispatchThreads = 1;
   Opts.Validate = true;
   return Opts;
 }
@@ -214,16 +179,16 @@ TEST(Validate, SubscriptionMaskWatchdog) {
   Collector C;
   C.install(V);
   OpTool T;
-  V.registerTool(T, T.subscription(), 0);
+  V.registerTool(T, T.subscription());
 
   Event Ok = operatorStart("conv");
-  V.beforeDelivery(T, Ok, Validator::InlineDelivery);
+  V.beforeDelivery(T, Ok);
   V.afterDelivery(T);
   EXPECT_EQ(C.total(), 0u);
 
   Event Wrong;
   Wrong.Kind = EventKind::MemoryAlloc;
-  V.beforeDelivery(T, Wrong, Validator::InlineDelivery);
+  V.beforeDelivery(T, Wrong);
   V.afterDelivery(T);
   EXPECT_EQ(C.count(ValidationViolation::Kind::SubscriptionMask), 1u);
 }
@@ -233,40 +198,21 @@ TEST(Validate, SerialOverlapDetected) {
   Collector C;
   C.install(V);
   OpTool T;
-  V.registerTool(T, T.subscription(), 0);
+  V.registerTool(T, T.subscription());
 
   Event E = operatorStart("conv");
-  V.beforeDelivery(T, E, Validator::InlineDelivery);
+  V.beforeDelivery(T, E);
   // Second delivery while the first is still in flight: the Serial
   // contract is broken.
-  V.beforeDelivery(T, E, Validator::InlineDelivery);
+  V.beforeDelivery(T, E);
   EXPECT_EQ(C.count(ValidationViolation::Kind::SerialOverlap), 1u);
   V.afterDelivery(T);
   V.afterDelivery(T);
 
   // Sequential deliveries stay clean.
-  V.beforeDelivery(T, E, Validator::InlineDelivery);
+  V.beforeDelivery(T, E);
   V.afterDelivery(T);
   EXPECT_EQ(C.count(ValidationViolation::Kind::SerialOverlap), 1u);
-}
-
-TEST(Validate, SerialLaneMigrationDetected) {
-  Validator V;
-  Collector C;
-  C.install(V);
-  OpTool T;
-  V.registerTool(T, T.subscription(), /*PinnedLane=*/1);
-
-  Event E = operatorStart("conv");
-  V.beforeDelivery(T, E, /*Lane=*/1);
-  V.afterDelivery(T);
-  V.beforeDelivery(T, E, Validator::InlineDelivery); // sync dispatch: exempt
-  V.afterDelivery(T);
-  EXPECT_EQ(C.total(), 0u);
-
-  V.beforeDelivery(T, E, /*Lane=*/0);
-  V.afterDelivery(T);
-  EXPECT_EQ(C.count(ValidationViolation::Kind::SerialLaneMigration), 1u);
 }
 
 TEST(Validate, UnregisteredToolDetected) {
@@ -275,7 +221,7 @@ TEST(Validate, UnregisteredToolDetected) {
   C.install(V);
   OpTool T;
   Event E = operatorStart("conv");
-  V.beforeDelivery(T, E, Validator::InlineDelivery);
+  V.beforeDelivery(T, E);
   EXPECT_EQ(C.count(ValidationViolation::Kind::UnregisteredTool), 1u);
 }
 
@@ -310,8 +256,7 @@ TEST(Validate, UnknownReleaseDetected) {
 }
 
 TEST(Validate, ArenaRegistersPayloadsWithLedger) {
-  ProcessorOptions Opts = validatingAsync();
-  EventProcessor P(Opts);
+  EventProcessor P(validating());
   Collector C;
   C.install(*P.validator());
 
@@ -322,26 +267,43 @@ TEST(Validate, ArenaRegistersPayloadsWithLedger) {
 }
 
 TEST(Validate, PayloadUseAfterReleaseDetectedEndToEnd) {
-  ProcessorOptions Opts = validatingAsync();
-  EventProcessor P(Opts);
+  // Replay re-interns the trace's payload tables into the processor's
+  // arena, which registers every payload with the ledger. Releasing the
+  // canonical "conv" behind the pipeline's back makes the next event
+  // carrying it a use after release.
+  const std::string Path =
+      ::testing::TempDir() + "pasta_validate_use_after_release.trace";
+  {
+    TraceWriter Writer;
+    SessionError Err;
+    ASSERT_TRUE(Writer.open(Path, Err)) << Err.message();
+    Writer.append(operatorStart("conv"));
+    Writer.append(operatorStart("conv"));
+    ASSERT_TRUE(Writer.finalize(Err)) << Err.message();
+  }
+  EventProcessor P(validating());
   Collector C;
   C.install(*P.validator());
   OpTool T;
   P.addTool(&T);
 
-  // First event makes "conv" resident (registered with the ledger).
-  P.process(operatorStart("conv"));
-  P.flush();
-  EXPECT_EQ(C.total(), 0u);
-  EXPECT_EQ(T.Count.load(std::memory_order_relaxed), 1);
+  TraceReader Reader;
+  SessionError Err;
+  ASSERT_TRUE(Reader.open(Path, Err)) << Err.message();
+  int Replayed = 0;
+  Reader.forEachEvent(&P.arena(), [&](Event &E) {
+    if (Replayed++ == 1) {
+      EXPECT_EQ(C.total(), 0u);
+      const void *Conv = E.OpName.handle().get();
+      EXPECT_TRUE(P.validator()->payloadLive(Conv));
+      P.validator()->releasePayload(Conv);
+    }
+    P.process(E);
+  });
+  std::remove(Path.c_str());
 
-  // Release the canonical payload behind the pipeline's back, then send
-  // an event whose admission interns to that same (released) handle.
-  PayloadString Canonical = P.arena().internString(PayloadString("conv"));
-  P.validator()->releasePayload(Canonical.handle().get());
-  P.process(operatorStart("conv"));
-  P.flush();
-  EXPECT_GE(C.count(ValidationViolation::Kind::PayloadUseAfterRelease),
+  EXPECT_EQ(T.Count.load(std::memory_order_relaxed), 2);
+  EXPECT_EQ(C.count(ValidationViolation::Kind::PayloadUseAfterRelease),
             1u);
   EXPECT_NE(
       C.firstMessage(ValidationViolation::Kind::PayloadUseAfterRelease)
@@ -350,60 +312,11 @@ TEST(Validate, PayloadUseAfterReleaseDetectedEndToEnd) {
 }
 
 //===----------------------------------------------------------------------===//
-// Seeded violation: flush from a dispatch-lane thread
-//===----------------------------------------------------------------------===//
-
-TEST(Validate, FlushFromLaneDetectedWithoutDeadlock) {
-  ProcessorOptions Opts = validatingAsync();
-  EventProcessor P(Opts);
-  Collector C;
-  C.install(*P.validator());
-  FlushFromHookTool T;
-  P.addTool(&T);
-
-  P.process(operatorStart("conv"));
-  P.flush(); // would deadlock if the lane-side flush actually waited
-  EXPECT_EQ(C.count(ValidationViolation::Kind::FlushFromLane), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Seeded violation: reconfiguration overlapping an admission
-//===----------------------------------------------------------------------===//
-
-TEST(Validate, ReconfigureDuringAdmissionDetected) {
-  // The caller breaks the reconfiguration contract: addTool runs while a
-  // synchronous hook is parked inside process() on another thread. The
-  // swap must not wait for it, and the validator must report it once.
-  ProcessorOptions Opts;
-  Opts.Validate = true;
-  EventProcessor P(Opts);
-  Collector C;
-  C.install(*P.validator());
-  ParkedHookTool Parked;
-  std::promise<void> Release;
-  Parked.Released = Release.get_future();
-  std::future<void> Entered = Parked.Entered.get_future();
-  ASSERT_TRUE(P.addTool(&Parked));
-
-  std::thread Producer([&P] { P.process(operatorStart("conv")); });
-  Entered.wait();
-  OpTool Late;
-  EXPECT_TRUE(P.addTool(&Late));
-  Release.set_value();
-  Producer.join();
-
-  EXPECT_EQ(C.count(ValidationViolation::Kind::ReconfigureDuringAdmission),
-            1u);
-  EXPECT_EQ(C.total(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
 // Non-interference: a validating pipeline produces identical results
 //===----------------------------------------------------------------------===//
 
 /// Runs the same deterministic workload through a processor and renders
-/// the event_pipeline report (synchronous mode: no queue-timing
-/// nondeterminism, so the whole report must match byte for byte).
+/// the event_pipeline report, which must match byte for byte.
 std::string runSyncPipeline(bool Validate, int &ToolCount) {
   ProcessorOptions Opts;
   Opts.Validate = Validate;
@@ -434,9 +347,12 @@ TEST(Validate, ValidationDoesNotPerturbReports) {
 }
 
 TEST(Validate, AsyncResultsIdenticalWithValidation) {
+  // With the ignored async knobs set, validation still only observes.
   int Counts[2] = {0, 0};
   for (int Pass = 0; Pass < 2; ++Pass) {
-    ProcessorOptions Opts = validatingAsync();
+    ProcessorOptions Opts;
+    Opts.AsyncEvents = true;
+    Opts.DispatchThreads = 2;
     Opts.Validate = Pass == 1;
     EventProcessor P(Opts);
     OpTool T;
@@ -462,14 +378,14 @@ TEST(Validate, ViolationKindNames) {
       validationViolationName(ValidationViolation::Kind::SerialOverlap),
       "serial-overlap");
   EXPECT_STREQ(
-      validationViolationName(ValidationViolation::Kind::FlushNotDrained),
-      "flush-not-drained");
+      validationViolationName(ValidationViolation::Kind::SubscriptionDrift),
+      "subscription-drift");
   EXPECT_STREQ(validationViolationName(
                    ValidationViolation::Kind::PayloadUseAfterRelease),
                "payload-use-after-release");
   EXPECT_STREQ(validationViolationName(
-                   ValidationViolation::Kind::ReconfigureDuringAdmission),
-               "reconfigure-during-admission");
+                   ValidationViolation::Kind::PayloadCanaryStomp),
+               "payload-canary-stomp");
 }
 
 } // namespace
