@@ -6,17 +6,27 @@
 
 #include "support/ReportSink.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
+#include <iterator>
 
 using namespace pasta;
 
 ReportSink::~ReportSink() = default;
 
-std::string pasta::jsonEscape(const std::string &Raw) {
-  std::string Out;
-  Out.reserve(Raw.size() + 8);
-  for (char C : Raw) {
+/// Appends \p Raw to \p Out escaped for a JSON string literal. Each
+/// stretch of bytes that needs no escape is copied in one append.
+static void appendJsonEscaped(std::string &Out, const std::string &Raw) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  const char *Run = Raw.data();
+  const char *End = Run + Raw.size();
+  for (const char *P = Run; P != End; ++P) {
+    const auto C = static_cast<unsigned char>(*P);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Run, static_cast<std::size_t>(P - Run));
+    Run = P + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -33,16 +43,19 @@ std::string pasta::jsonEscape(const std::string &Raw) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Hex[8];
-        std::snprintf(Hex, sizeof(Hex), "\\u%04x", C);
-        Out += Hex;
-      } else {
-        Out += C;
-      }
+    default: {
+      const char Unicode[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      Out.append(Unicode, sizeof(Unicode));
+    }
     }
   }
+  Out.append(Run, static_cast<std::size_t>(End - Run));
+}
+
+std::string pasta::jsonEscape(const std::string &Raw) {
+  std::string Out;
+  Out.reserve(Raw.size() + 8);
+  appendJsonEscaped(Out, Raw);
   return Out;
 }
 
@@ -114,32 +127,37 @@ void TextReportSink::endReport() {
 
 JsonReportSink::~JsonReportSink() { close(); }
 
-void JsonReportSink::emit(const std::string &Chunk) {
-  if (Out)
-    std::fputs(Chunk.c_str(), Out);
-  else
-    Buffer += Chunk;
+void JsonReportSink::writeBuffered() {
+  if (!Out)
+    return;
+  std::fwrite(Buffer.data(), 1, Buffer.size(), Out);
+  Buffer.clear();
 }
 
 void JsonReportSink::beginReport(const std::string &ToolName) {
-  emit(AnyReport ? ",\n" : "[\n");
+  Buffer += AnyReport ? ",\n" : "[\n";
   AnyReport = true;
   AnyMetric = false;
   Body.clear();
-  emit("  {\"tool\": \"" + jsonEscape(ToolName) + "\", \"metrics\": {");
+  Buffer += "  {\"tool\": \"";
+  appendJsonEscaped(Buffer, ToolName);
+  Buffer += "\", \"metrics\": {";
 }
 
 void JsonReportSink::metricPrefix(const std::string &Key) {
-  emit(AnyMetric ? ", " : "");
+  if (AnyMetric)
+    Buffer += ", ";
   AnyMetric = true;
-  emit("\"" + jsonEscape(Key) + "\": ");
+  Buffer += '"';
+  appendJsonEscaped(Buffer, Key);
+  Buffer += "\": ";
 }
 
 void JsonReportSink::metric(const std::string &Key, std::uint64_t Value) {
   metricPrefix(Key);
-  char Num[32];
-  std::snprintf(Num, sizeof(Num), "%" PRIu64, Value);
-  emit(Num);
+  char Num[20]; // UINT64_MAX has 20 digits
+  const char *End = std::to_chars(Num, std::end(Num), Value).ptr;
+  Buffer.append(Num, static_cast<std::size_t>(End - Num));
 }
 
 void JsonReportSink::metric(const std::string &Key, double Value) {
@@ -147,35 +165,44 @@ void JsonReportSink::metric(const std::string &Key, double Value) {
   // JSON has no inf/nan literals; "%.17g" would emit them verbatim and
   // corrupt the document.
   if (!std::isfinite(Value)) {
-    emit("null");
+    Buffer += "null";
     return;
   }
   char Num[64];
-  std::snprintf(Num, sizeof(Num), "%.17g", Value);
-  emit(Num);
+  int Len = std::snprintf(Num, sizeof(Num), "%.17g", Value);
+  Buffer.append(Num, static_cast<std::size_t>(Len));
 }
 
 void JsonReportSink::metric(const std::string &Key,
                             const std::string &Value) {
   metricPrefix(Key);
-  emit("\"" + jsonEscape(Value) + "\"");
+  Buffer += '"';
+  appendJsonEscaped(Buffer, Value);
+  Buffer += '"';
 }
 
-void JsonReportSink::text(const std::string &Body_) { Body += Body_; }
+void JsonReportSink::text(const std::string &Body_) {
+  appendJsonEscaped(Body, Body_);
+}
 
 void JsonReportSink::endReport() {
-  emit("}");
-  if (!Body.empty())
-    emit(", \"text\": \"" + jsonEscape(Body) + "\"");
-  emit("}");
+  Buffer += '}';
+  if (!Body.empty()) {
+    Buffer += ", \"text\": \"";
+    Buffer += Body;
+    Buffer += '"';
+  }
+  Buffer += '}';
   Body.clear();
+  writeBuffered();
 }
 
 void JsonReportSink::close() {
   if (Closed)
     return;
   Closed = true;
-  emit(AnyReport ? "\n]\n" : "[]\n");
+  Buffer += AnyReport ? "\n]\n" : "[]\n";
+  writeBuffered();
 }
 
 //===----------------------------------------------------------------------===

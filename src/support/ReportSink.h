@@ -72,7 +72,9 @@ private:
 /// One JSON array, one object per report:
 ///   [{"tool": "...", "metrics": {...}, "text": "..."}]
 /// Output goes to \p Out (FILE) or an owned string buffer retrievable via
-/// str() after close().
+/// str() after close(). Keys, values and text bodies are escaped straight
+/// into one output buffer; in FILE mode each finished report leaves it in
+/// one fwrite.
 class JsonReportSink : public ReportSink {
 public:
   explicit JsonReportSink(std::FILE *Out) : Out(Out) {}
@@ -92,11 +94,14 @@ public:
   const std::string &str() const { return Buffer; }
 
 private:
-  void emit(const std::string &Chunk);
   void metricPrefix(const std::string &Key);
+  /// FILE mode: writes the buffered bytes and empties the buffer.
+  void writeBuffered();
 
   std::FILE *Out = nullptr;
+  /// The whole document (buffer mode) or the unwritten bytes (FILE mode).
   std::string Buffer;
+  /// The current report's text body, already escaped.
   std::string Body;
   bool AnyReport = false;
   bool AnyMetric = false;

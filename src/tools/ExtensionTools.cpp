@@ -80,7 +80,7 @@ Subscription BarrierStallTool::subscription() {
 }
 
 void BarrierStallTool::onOperatorStart(const Event &E) {
-  CurrentLayer = E.LayerName;
+  CurrentLayer[E.DeviceIndex] = E.LayerName;
 }
 
 void BarrierStallTool::onKernelLaunch(const Event &E) {
@@ -92,23 +92,31 @@ void BarrierStallTool::onKernelLaunch(const Event &E) {
       static_cast<std::uint64_t>(E.Kernel->BarriersPerBlock) *
       E.Kernel->Grid.count();
   std::uint64_t Stall = Barriers * BarrierLatencyNs / 1000;
-  if (CurrentLayer.empty())
+  auto Layer = CurrentLayer.find(E.DeviceIndex);
+  if (Layer == CurrentLayer.end() || Layer->second.empty())
     StallByLayer["<toplevel>"] += Stall;
   else
-    StallByLayer[CurrentLayer.str()] += Stall;
+    StallByLayer[Layer->second.str()] += Stall;
   TotalStall += Stall;
 }
 
 void BarrierStallTool::writeReport(std::FILE *Out) {
   std::fprintf(Out, "=== barrier_stall: total %s ===\n",
                formatSimTime(TotalStall).c_str());
-  std::vector<std::pair<std::uint64_t, std::string>> Sorted;
-  for (const auto &[Layer, Stall] : StallByLayer)
-    Sorted.emplace_back(Stall, Layer);
-  std::sort(Sorted.rbegin(), Sorted.rend());
+  // Stall descending, ties by layer descending: the pairs are filled
+  // walking the map from its end and stable-sorted by stall, so no
+  // compare touches a layer name.
+  std::vector<std::pair<std::uint64_t, const std::string *>> Sorted;
+  Sorted.reserve(StallByLayer.size());
+  for (auto It = StallByLayer.rbegin(); It != StallByLayer.rend(); ++It)
+    Sorted.emplace_back(It->second, &It->first);
+  std::stable_sort(Sorted.begin(), Sorted.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.first > B.first;
+                   });
   TablePrinter Table({"Estimated Stall", "Layer"});
   for (const auto &[Stall, Layer] : Sorted)
-    Table.addRow({formatSimTime(Stall), Layer});
+    Table.addRow({formatSimTime(Stall), *Layer});
   Table.print(Out);
 }
 

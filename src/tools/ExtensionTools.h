@@ -70,7 +70,7 @@ public:
   std::string name() const override { return "barrier_stall"; }
 
   /// Operator starts (layer context) + kernel launches, serial (the
-  /// current-layer string threads state between the two hooks).
+  /// current layer threads state between the two hooks).
   Subscription subscription() override;
 
   void onOperatorStart(const Event &E) override;
@@ -85,8 +85,10 @@ public:
 
 private:
   std::uint64_t BarrierLatencyNs;
-  /// Shared handle adopted from the event (no copy per operator start).
-  PayloadString CurrentLayer;
+  /// Layer of the latest operator start, per device: producers of
+  /// different devices interleave their operators. Shared handles adopted
+  /// from the events (no copy per operator start).
+  std::map<int, PayloadString> CurrentLayer;
   std::map<std::string, std::uint64_t> StallByLayer;
   std::uint64_t TotalStall = 0;
 };

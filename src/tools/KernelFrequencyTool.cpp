@@ -40,25 +40,39 @@ void KernelFrequencyTool::onKernelLaunch(const Event &E) {
   }
 }
 
+namespace {
+
+/// (count, name) pairs for the map's entries, count descending, name
+/// ascending. The pairs are filled in map order (name ascending) and
+/// stable-sorted by count, so no compare touches a name or a map node.
+std::vector<std::pair<std::uint64_t, const std::string *>>
+byCount(const std::map<std::string, std::uint64_t> &Frequencies) {
+  std::vector<std::pair<std::uint64_t, const std::string *>> Order;
+  Order.reserve(Frequencies.size());
+  for (const auto &[Name, Count] : Frequencies)
+    Order.emplace_back(Count, &Name);
+  std::stable_sort(Order.begin(), Order.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.first > B.first;
+                   });
+  return Order;
+}
+
+} // namespace
+
 std::vector<std::pair<std::uint64_t, std::string>>
 KernelFrequencyTool::sorted() const {
   std::vector<std::pair<std::uint64_t, std::string>> Out;
   Out.reserve(Frequencies.size());
-  for (const auto &[Name, Count] : Frequencies)
-    Out.emplace_back(Count, Name);
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first > B.first;
-              return A.second < B.second;
-            });
+  for (const auto &[Count, Name] : byCount(Frequencies))
+    Out.emplace_back(Count, *Name);
   return Out;
 }
 
 void KernelFrequencyTool::writeReport(std::FILE *Out) {
   TablePrinter Table({"Invocations", "Kernel"});
-  for (const auto &[Count, Name] : sorted())
-    Table.addRow({std::to_string(Count), Name});
+  for (const auto &[Count, Name] : byCount(Frequencies))
+    Table.addRow({std::to_string(Count), *Name});
   std::fprintf(Out, "=== kernel_frequency: %llu launches, %zu distinct "
                     "kernels ===\n",
                static_cast<unsigned long long>(TotalLaunches),
@@ -75,8 +89,13 @@ void KernelFrequencyTool::report(ReportSink &Sink) {
   Sink.metric("total_launches", TotalLaunches);
   Sink.metric("distinct_kernels",
               static_cast<std::uint64_t>(Frequencies.size()));
-  for (const auto &[Name, Count] : Frequencies)
-    Sink.metric("launches." + Name, Count);
+  std::string Key = "launches.";
+  const std::size_t Prefix = Key.size();
+  for (const auto &[Name, Count] : Frequencies) {
+    Key.resize(Prefix);
+    Key += Name;
+    Sink.metric(Key, Count);
+  }
   Sink.text(renderTextReport());
   Sink.endReport();
 }

@@ -48,7 +48,8 @@ public:
   }
   std::uint64_t totalLaunches() const { return TotalLaunches; }
 
-  /// (count, name) pairs sorted descending — Fig. 7's bubble sizes.
+  /// (count, name) pairs, count descending and ties by name ascending —
+  /// Fig. 7's bubble sizes. writeReport() lists kernels in this order.
   std::vector<std::pair<std::uint64_t, std::string>> sorted() const;
 
   /// Cross-layer stack of the most frequently invoked kernel (captured

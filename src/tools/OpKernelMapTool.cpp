@@ -6,7 +6,6 @@
 
 #include "tools/OpKernelMapTool.h"
 
-#include "support/Format.h"
 #include "support/TablePrinter.h"
 #include "support/Units.h"
 
@@ -24,40 +23,49 @@ Subscription OpKernelMapTool::subscription() {
 }
 
 void OpKernelMapTool::onOperatorStart(const Event &E) {
-  ActiveOp Op;
-  Op.OpName = E.OpName;
-  Stack.push_back(std::move(Op));
-  OpProfile &Profile = Profiles[E.OpName];
-  Profile.OpName = E.OpName;
+  auto [It, Inserted] = Profiles.try_emplace(E.OpName.str());
+  OpProfile &Profile = It->second;
+  if (Inserted)
+    Profile.OpName = It->first;
   ++Profile.Invocations;
+  Stacks[E.DeviceIndex].push_back(ActiveOp{E.OpName, &Profile, 0});
 }
 
 void OpKernelMapTool::onOperatorEnd(const Event &E) {
   // Tolerate mismatches (range filters can suppress begins).
-  if (!Stack.empty() && Stack.back().OpName == E.OpName)
-    Stack.pop_back();
+  auto It = Stacks.find(E.DeviceIndex);
+  if (It != Stacks.end() && !It->second.empty() &&
+      It->second.back().OpName == E.OpName)
+    It->second.pop_back();
+}
+
+OpKernelMapTool::ActiveOp *OpKernelMapTool::innermost(int Device) {
+  auto It = Stacks.find(Device);
+  if (It == Stacks.end() || It->second.empty())
+    return nullptr;
+  return &It->second.back();
 }
 
 void OpKernelMapTool::onKernelLaunch(const Event &E) {
-  if (Stack.empty()) {
+  ActiveOp *Op = innermost(E.DeviceIndex);
+  if (!Op) {
     ++Unattributed;
     return;
   }
-  OpProfile &Profile = Profiles[Stack.back().OpName];
-  ++Profile.KernelLaunches;
+  ++Op->Profile->KernelLaunches;
   if (E.Kernel)
-    ++Profile.Kernels[E.Kernel->Name];
-  Stack.back().LastLaunchTime = E.Timestamp;
+    ++Op->Profile->Kernels[E.Kernel->Name];
+  Op->LastLaunchTime = E.Timestamp;
 }
 
 void OpKernelMapTool::onKernelComplete(const Event &E) {
-  if (Stack.empty())
+  ActiveOp *Op = innermost(E.DeviceIndex);
+  if (!Op)
     return;
   // Kernel execution is synchronous in the simulator: completion minus
   // launch is the kernel's simulated wall time.
-  OpProfile &Profile = Profiles[Stack.back().OpName];
-  if (E.Timestamp >= Stack.back().LastLaunchTime)
-    Profile.ExecTime += E.Timestamp - Stack.back().LastLaunchTime;
+  if (E.Timestamp >= Op->LastLaunchTime)
+    Op->Profile->ExecTime += E.Timestamp - Op->LastLaunchTime;
 }
 
 void OpKernelMapTool::writeReport(std::FILE *Out) {
@@ -66,6 +74,7 @@ void OpKernelMapTool::writeReport(std::FILE *Out) {
                Profiles.size(),
                static_cast<unsigned long long>(Unattributed));
   std::vector<const OpProfile *> Sorted;
+  Sorted.reserve(Profiles.size());
   for (const auto &[Name, Profile] : Profiles)
     Sorted.push_back(&Profile);
   std::sort(Sorted.begin(), Sorted.end(),
@@ -75,11 +84,14 @@ void OpKernelMapTool::writeReport(std::FILE *Out) {
   TablePrinter Table({"Operator", "Invocations", "Kernels",
                       "Kernels/Invocation", "Exec Time",
                       "Distinct Kernels"});
-  for (const OpProfile *Profile : Sorted)
+  char PerInvocation[32];
+  for (const OpProfile *Profile : Sorted) {
+    std::snprintf(PerInvocation, sizeof(PerInvocation), "%.2f",
+                  Profile->kernelsPerInvocation());
     Table.addRow({Profile->OpName, std::to_string(Profile->Invocations),
-                  std::to_string(Profile->KernelLaunches),
-                  format("%.2f", Profile->kernelsPerInvocation()),
+                  std::to_string(Profile->KernelLaunches), PerInvocation,
                   formatSimTime(Profile->ExecTime),
                   std::to_string(Profile->Kernels.size())});
+  }
   Table.print(Out);
 }

@@ -34,7 +34,7 @@ public:
   std::string name() const override { return "op_kernel_map"; }
 
   /// Operator + kernel lifecycle events, Serial (the
-  /// operator nesting stack is inherently order-sensitive).
+  /// operator nesting stacks are inherently order-sensitive).
   Subscription subscription() override;
 
   struct OpProfile {
@@ -72,12 +72,19 @@ private:
     /// Shared handle adopted from the event — pushing an operator onto
     /// the nesting stack never copies the name bytes.
     PayloadString OpName;
+    /// The operator's entry in Profiles (map nodes are stable), so the
+    /// kernel hooks never look the name up again.
+    OpProfile *Profile = nullptr;
     SimTime LastLaunchTime = 0;
   };
 
+  /// The innermost active operator on \p Device, or null.
+  ActiveOp *innermost(int Device);
+
   std::map<std::string, OpProfile> Profiles;
-  /// Operator nesting stack (outermost first).
-  std::vector<ActiveOp> Stack;
+  /// Operator nesting stack per device (outermost first): producers of
+  /// different devices interleave their operators.
+  std::map<int, std::vector<ActiveOp>> Stacks;
   std::uint64_t Unattributed = 0;
 };
 

@@ -13,6 +13,7 @@
 #include "tools/HotnessTool.h"
 #include "tools/KernelFrequencyTool.h"
 #include "tools/MemUsageTimelineTool.h"
+#include "tools/OpKernelMapTool.h"
 #include "tools/RegisterTools.h"
 #include "tools/WorkingSetTool.h"
 
@@ -559,6 +560,67 @@ TEST_F(ToolsTest, BarrierStallAttributesToLayers) {
   auto *Stall = S->toolAs<BarrierStallTool>("barrier_stall");
   EXPECT_GT(Stall->totalStallNs(), 0u);
   EXPECT_GT(Stall->stallByLayer().size(), 5u);
+}
+
+TEST_F(ToolsTest, OperatorContextIsKeptPerDevice) {
+  // Two devices' operators interleave on one thread, as two producers'
+  // events do under the dispatch mutex: A start, B start, A launch,
+  // B launch, A complete, B complete, A end, B end. The second index is
+  // one a decoded stream could carry; it must not size a container.
+  const int Devices[] = {0, 1 << 30};
+  constexpr int Ops = 40;
+  OpKernelMapTool Map;
+  BarrierStallTool Stall;
+  EventProcessor P;
+  ASSERT_TRUE(P.addTool(&Map));
+  ASSERT_TRUE(P.addTool(&Stall));
+  std::map<std::string, sim::KernelDesc> Kernels;
+  auto Tag = [](int Device, int Op) {
+    return "d" + std::to_string(Device) + ".op" + std::to_string(Op);
+  };
+  SimTime Now = 0;
+  for (int Op = 0; Op < Ops; ++Op)
+    for (EventKind Kind : {EventKind::OperatorStart, EventKind::KernelLaunch,
+                           EventKind::KernelComplete, EventKind::OperatorEnd})
+      for (int Device : Devices) {
+        Event E;
+        E.Kind = Kind;
+        E.DeviceIndex = Device;
+        E.Timestamp = Now += 10;
+        E.OpName = "aten::mm." + Tag(Device, Op);
+        if (Kind == EventKind::OperatorStart)
+          E.LayerName = "layer." + Tag(Device, Op);
+        sim::KernelDesc &Kernel = Kernels["gemm." + Tag(Device, Op)];
+        Kernel.Name = "gemm." + Tag(Device, Op);
+        // 5 barriers x (Op + 1) blocks x 200 ns / 1000 = Op + 1 ns.
+        Kernel.Grid = {static_cast<unsigned>(Op + 1), 1, 1};
+        Kernel.BarriersPerBlock = 5;
+        if (Kind == EventKind::KernelLaunch ||
+            Kind == EventKind::KernelComplete)
+          E.Kernel = &Kernel;
+        P.process(E);
+      }
+
+  EXPECT_EQ(Map.unattributedKernels(), 0u);
+  EXPECT_EQ(Map.profiles().size(), 2u * Ops);
+  EXPECT_EQ(Stall.stallByLayer().size(), 2u * Ops);
+  for (int Device : Devices)
+    for (int Op = 0; Op < Ops; ++Op) {
+      auto Profile = Map.profiles().find("aten::mm." + Tag(Device, Op));
+      ASSERT_NE(Profile, Map.profiles().end()) << Tag(Device, Op);
+      EXPECT_EQ(Profile->second.Invocations, 1u) << Tag(Device, Op);
+      EXPECT_EQ(Profile->second.KernelLaunches, 1u) << Tag(Device, Op);
+      EXPECT_EQ(Profile->second.Kernels,
+                (std::map<std::string, std::uint64_t>{
+                    {"gemm." + Tag(Device, Op), 1}}))
+          << Tag(Device, Op);
+      // Launch, the other device's launch, complete: 2 x 10 ns.
+      EXPECT_EQ(Profile->second.ExecTime, 20u) << Tag(Device, Op);
+      auto Layer = Stall.stallByLayer().find("layer." + Tag(Device, Op));
+      ASSERT_NE(Layer, Stall.stallByLayer().end()) << Tag(Device, Op);
+      EXPECT_EQ(Layer->second, static_cast<std::uint64_t>(Op + 1))
+          << Tag(Device, Op);
+    }
 }
 
 TEST_F(ToolsTest, RedundantLoadDetectsGemmReuse) {
